@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .basis import DegreeRule, _element_eval, build_dof_map, gauss_lobatto_nodes
+from .basis import (DegreeRule, _element_eval, _shape_deriv_matrix,
+                    _shape_matrix, build_dof_map, gauss_lobatto_nodes)
+from .geomesh import build_geometric_mesh
 from .postproc import exact_solution, solution_constant
 from .quadrature import _jacobi01, _rule01
 
@@ -187,11 +189,9 @@ class ElementInterpolant:
         return 2.0 * (np.asarray(x, dtype=float) - lo) / (hi - lo) - 1.0
 
     def __call__(self, x):
-        from .basis import _shape_matrix
         return (self.values @ _shape_matrix(self.degree, self._local(x)))[()]
 
     def deriv(self, x):
-        from .basis import _shape_deriv_matrix
         lo, hi = self.element
         vals = self.values @ _shape_deriv_matrix(self.degree, self._local(x))
         return (vals * (2.0 / (hi - lo)))[()]
@@ -327,8 +327,6 @@ def _boundary_error_sq(u, du, dofmap, coeffs, e, beta_p):
 def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
     """Error of the hp interpolant in the weighted H^1 norm with
     beta' = 1 - s - eps_prime, for the benchmark solution on (-1, 1)."""
-    from .geomesh import build_geometric_mesh
-
     beta_p = 1.0 - s - eps_prime
     if not 0.0 < beta_p < 1.0:
         raise ValueError(f"beta' = 1 - s - eps_prime = {beta_p} out of (0, 1)")

@@ -20,19 +20,19 @@ Gauss-Jacobi weight with exponent 2-2s.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import _shape_matrix
-from .quadrature import _jacobi01, _rule01, classify_pair, pair_quadrature
+from .quadrature import (_check_s, _jacobi01, _rule01, classify_pair,
+                         pair_quadrature)
 
 __all__ = ["GalerkinSystem", "kernel_constant", "complement_weight",
            "assemble", "assemble_load"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GalerkinSystem:
     """Dense symmetric stiffness matrix and load vector; immutable once built."""
 
@@ -44,11 +44,6 @@ class GalerkinSystem:
     @property
     def n(self):
         return self.stiffness.shape[0]
-
-
-def _check_s(s):
-    if not 0.0 < float(s) < 1.0:
-        raise ValueError(f"fractional order s must lie in (0, 1), got {s}")
 
 
 def kernel_constant(s):
@@ -150,13 +145,12 @@ def _complement_block(mesh, dofmap, e, s, n):
     return g[keep], local
 
 
-def assemble(mesh, dofmap, s, quad_offset=6, threads=1):
+def assemble(mesh, dofmap, s, quad_offset=6):
     """Assemble the stiffness matrix of the weak form (stiffness only).
 
     The per-direction point count for each element pair is
-    max(p_i, p_j) + quad_offset.  With threads > 1 the pair blocks are
-    computed concurrently but accumulated in the fixed serial order, so
-    serial and parallel results agree to the last bit.
+    max(p_i, p_j) + quad_offset.  The load is zero; attach one with
+    dataclasses.replace(system, load=...).
     """
     _check_s(s)
     if dofmap.mesh is not mesh and not np.array_equal(dofmap.mesh.nodes, mesh.nodes):
@@ -165,20 +159,11 @@ def assemble(mesh, dofmap, s, quad_offset=6, threads=1):
     ne = mesh.n_elements
     N = dofmap.n_dofs
     A = np.zeros((N, N))
-    pairs = [(i, j) for i in range(1, ne + 1) for j in range(i, ne + 1)]
-
-    def block(pair):
-        i, j = pair
-        n = int(max(dofmap.degrees[i - 1], dofmap.degrees[j - 1])) + quad_offset
-        return _pair_block(mesh, dofmap, i, j, s, n)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(block, pairs))
-    else:
-        results = map(block, pairs)
-    for gs, local in results:
-        A[np.ix_(gs, gs)] += local
+    for i in range(1, ne + 1):
+        for j in range(i, ne + 1):
+            p = max(dofmap.degrees[i - 1], dofmap.degrees[j - 1])
+            gs, local = _pair_block(mesh, dofmap, i, j, s, int(p) + quad_offset)
+            A[np.ix_(gs, gs)] += local
 
     c = kernel_constant(s)
     A *= 0.5 * c

@@ -33,13 +33,9 @@ def legendre_eval(n, x):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
     if n == 0:
-        return p_prev[()]
-    p = x.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return p[()]
+        return np.ones_like(x)[()]
+    return _legendre_pair(n, x)[0][()]
 
 
 def _legendre_pair(n, x):

@@ -4,13 +4,11 @@ studies, and mesh dumps, all emitting deterministic CSV."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from . import approx, postproc
-from .basis import DegreeRule
 from .geomesh import build_geometric_mesh
 from .linsolve import NotSPDError
 
@@ -40,21 +38,18 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_rule=True):
+    def common(p, solver=True):
         p.add_argument("--s", type=_float_list, default=[0.5],
                        help="comma-separated fractional orders in (0,1)")
         p.add_argument("--sigma", type=float, default=0.6,
                        help="mesh grading factor in (0,1)")
         p.add_argument("--levels", type=int, default=10,
                        help="number of refinement layers L")
-        if with_rule:
+        if solver:
             p.add_argument("--rule", choices=("uniform", "reduced"),
                            default="uniform", help="degree rule (p = L)")
-        p.add_argument("--quad-offset", type=int, default=6,
-                       help="quadrature points per direction = p + offset")
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallel assembly threads "
-                            "(default: FRAC_HP_THREADS or 1)")
+            p.add_argument("--quad-offset", type=int, default=6,
+                           help="quadrature points per direction = p + offset")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_conv = sub.add_parser("convergence", help="run the L = 1..levels study")
@@ -67,7 +62,7 @@ def _parser():
 
     p_interp = sub.add_parser("interp-study",
                               help="weighted interpolation-error sweep")
-    common(p_interp, with_rule=False)
+    common(p_interp, solver=False)
     p_interp.add_argument("--eps-prime", type=float, default=0.05,
                           help="weight offset: beta' = 1 - s - eps_prime")
 
@@ -89,12 +84,6 @@ def _validate(args):
     for s in getattr(args, "s", []):
         if not 0.0 < s < 1.0:
             raise _Invalid("--s", f"{s} not in (0, 1)")
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        env = os.environ.get("FRAC_HP_THREADS", "1")
-        try:
-            args.threads = max(1, int(env))
-        except ValueError:
-            raise _Invalid("FRAC_HP_THREADS", f"{env!r} is not an integer")
 
 
 def _write(text, path):
@@ -105,25 +94,18 @@ def _write(text, path):
             fh.write(text)
 
 
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def _cmd_convergence(args):
     if args.levels < 1:
         raise _Invalid("--levels", "the study needs at least one layer")
     records = postproc.convergence_study(
         args.s, args.sigma, args.levels, args.rule,
-        quad_offset=args.quad_offset, threads=args.threads)
+        quad_offset=args.quad_offset)
     lines = [CONVERGENCE_HEADER]
     for r in records:
         guide_u = 2.0 * args.sigma ** (r.L / 2.0) / r.L
         guide_r = 0.22 * args.sigma ** (r.L / 2.0)
-        lines.append(",".join([
-            _fmt(r.s), _fmt(r.sigma), str(r.L), r.degree_rule.kind, str(r.N),
-            _fmt(r.energy_error), _fmt(r.discrete_energy),
-            _fmt(r.wall_seconds * 1e3), _fmt(guide_u), _fmt(guide_r),
-        ]))
+        lines.append(",".join(postproc.record_fields(r)
+                              + [f"{guide_u:.17g}", f"{guide_r:.17g}"]))
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -133,16 +115,11 @@ def _cmd_solve(args):
         raise _Invalid("--s", "solve expects a single fractional order")
     if args.levels < 1:
         raise _Invalid("--levels", "solve needs at least one layer")
-    s = args.s[0]
-    records = postproc.convergence_study(
-        [s], args.sigma, args.levels, args.rule,
-        quad_offset=args.quad_offset, threads=args.threads)[-1:]
-    _write(postproc.records_to_csv(records), args.out)
+    record, system = postproc.solve_record(
+        args.s[0], args.sigma, args.levels, args.rule,
+        quad_offset=args.quad_offset)
+    _write(postproc.records_to_csv([record]), args.out)
     if args.dump_matrix is not None:
-        rule = DegreeRule(args.rule, args.levels)
-        _, _, system, _ = postproc.solve_problem(
-            s, args.sigma, args.levels, rule,
-            quad_offset=args.quad_offset, threads=args.threads)
         np.savetxt(args.dump_matrix + "_A.csv", system.stiffness,
                    delimiter=",", fmt="%.17g")
         np.savetxt(args.dump_matrix + "_b.csv", system.load, fmt="%.17g")
@@ -156,8 +133,7 @@ def _cmd_interp_study(args):
     for s in args.s:
         for p, L, sigma, s_val, err in approx.interpolation_error_study(
                 s, args.sigma, args.levels, args.eps_prime):
-            lines.append(",".join([str(p), str(L), _fmt(sigma), _fmt(s_val),
-                                   _fmt(err)]))
+            lines.append(f"{p},{L},{sigma:.17g},{s_val:.17g},{err:.17g}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -169,7 +145,7 @@ def _cmd_mesh(args):
     if not a < b:
         raise _Invalid("--domain", f"({a}, {b}) is empty or reversed")
     mesh = build_geometric_mesh((a, b), args.sigma, args.levels)
-    _write("\n".join(_fmt(x) for x in mesh.nodes) + "\n", args.out)
+    _write("".join(f"{x:.17g}\n" for x in mesh.nodes), args.out)
     return 0
 
 

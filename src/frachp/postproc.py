@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,17 +23,14 @@ from .assembly import assemble, assemble_load
 from .basis import DegreeRule, build_dof_map
 from .geomesh import build_geometric_mesh
 from .linsolve import cholesky_solve
+from .quadrature import _check_s
 
 __all__ = ["ConvergenceRecord", "exact_solution", "exact_energy",
-           "energy_error", "solve_problem", "convergence_study",
-           "records_to_csv", "CSV_HEADER"]
+           "energy_error", "solve_problem", "solve_record",
+           "convergence_study", "record_fields", "records_to_csv",
+           "CSV_HEADER"]
 
 CSV_HEADER = "s,sigma,L,rule,N,energy_error,discrete_energy,wall_ms"
-
-
-def _check_s(s):
-    if not 0.0 < float(s) < 1.0:
-        raise ValueError(f"fractional order s must lie in (0, 1), got {s}")
 
 
 def solution_constant(s):
@@ -89,58 +86,64 @@ class ConvergenceRecord:
     wall_seconds: float
 
 
-def solve_problem(s, sigma, L, rule, quad_offset=6, threads=1):
+def solve_problem(s, sigma, L, rule, quad_offset=6):
     """Assemble and solve the f = 1 benchmark on (-1, 1).
 
     Returns (mesh, dofmap, system, solution).
     """
     mesh = build_geometric_mesh((-1.0, 1.0), sigma, L)
     dofmap = build_dof_map(mesh, rule)
-    system = assemble(mesh, dofmap, s, quad_offset=quad_offset, threads=threads)
-    system.load[:] = assemble_load(lambda x: np.ones_like(x), mesh, dofmap,
-                                   quad_offset=quad_offset)
+    system = assemble(mesh, dofmap, s, quad_offset=quad_offset)
+    system = replace(system, load=assemble_load(
+        lambda x: np.ones_like(x), mesh, dofmap, quad_offset=quad_offset))
     sol = cholesky_solve(system)
     return mesh, dofmap, system, sol
 
 
-def convergence_study(s_list, sigma, L_max, rule_kind, quad_offset=6, threads=1):
+def solve_record(s, sigma, L, rule_kind, quad_offset=6):
+    """One study point: solve with p = L and time the solve.
+
+    Returns (record, system).  A failure of the solve is raised as a
+    RuntimeError naming (s, L).
+    """
+    _check_s(s)
+    rule = DegreeRule(rule_kind, L)
+    start = time.perf_counter()
+    try:
+        _, dofmap, system, sol = solve_problem(s, sigma, L, rule,
+                                               quad_offset=quad_offset)
+    except Exception as exc:
+        raise RuntimeError(f"solve failed at s={s}, L={L}: {exc}") from exc
+    wall = time.perf_counter() - start
+    record = ConvergenceRecord(
+        s=float(s), sigma=float(sigma), L=L, degree_rule=rule,
+        N=dofmap.n_dofs, energy_error=energy_error(system, sol, s),
+        discrete_energy=sol.energy, wall_seconds=wall)
+    return record, system
+
+
+def convergence_study(s_list, sigma, L_max, rule_kind, quad_offset=6):
     """Run the L = 1..L_max sweep with p = L for each fractional order.
 
     rule_kind is 'uniform' (degree L everywhere) or 'reduced' (degree 1 on
     the two boundary elements).  Records are emitted in (s, L) lexicographic
     order.
     """
-    if rule_kind not in ("uniform", "reduced"):
-        raise ValueError(f"unknown degree rule kind {rule_kind!r}")
     if L_max < 1:
         raise ValueError(f"L_max must be >= 1, got {L_max}")
-    records = []
-    for s in s_list:
-        _check_s(s)
-        for L in range(1, L_max + 1):
-            rule = DegreeRule(rule_kind, L)
-            start = time.perf_counter()
-            try:
-                _, dofmap, system, sol = solve_problem(
-                    s, sigma, L, rule, quad_offset=quad_offset, threads=threads)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"convergence study failed at s={s}, L={L}: {exc}") from exc
-            wall = time.perf_counter() - start
-            records.append(ConvergenceRecord(
-                s=float(s), sigma=float(sigma), L=L, degree_rule=rule,
-                N=dofmap.n_dofs, energy_error=energy_error(system, sol, s),
-                discrete_energy=sol.energy, wall_seconds=wall))
-    return records
+    return [solve_record(s, sigma, L, rule_kind, quad_offset=quad_offset)[0]
+            for s in s_list for L in range(1, L_max + 1)]
+
+
+def record_fields(r):
+    """The CSV_HEADER fields of one record; floats carry 17 significant
+    digits."""
+    return [f"{r.s:.17g}", f"{r.sigma:.17g}", str(r.L), r.degree_rule.kind,
+            str(r.N), f"{r.energy_error:.17g}", f"{r.discrete_energy:.17g}",
+            f"{r.wall_seconds * 1e3:.17g}"]
 
 
 def records_to_csv(records):
-    """Serialize study records; floats carry 17 significant digits."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            f"{r.s:.17g}", f"{r.sigma:.17g}", str(r.L), r.degree_rule.kind,
-            str(r.N), f"{r.energy_error:.17g}", f"{r.discrete_energy:.17g}",
-            f"{r.wall_seconds * 1e3:.17g}",
-        ]))
+    """Serialize study records under CSV_HEADER."""
+    lines = [CSV_HEADER] + [",".join(record_fields(r)) for r in records]
     return "\n".join(lines) + "\n"

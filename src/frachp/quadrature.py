@@ -32,42 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-__all__ = ["QuadRule", "PairClass", "gauss_legendre", "gauss_jacobi",
-           "classify_pair", "pair_quadrature"]
-
-
-@dataclass(frozen=True)
-class QuadRule:
-    """Nodes and positive weights for the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    alpha: float = 0.0
-    beta: float = 0.0
-
-
-def gauss_legendre(n):
-    """n-point Gauss-Legendre rule, exact for polynomials of degree <= 2n-1."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"point count must be >= 1, got {n}")
-    x, w = np.polynomial.legendre.leggauss(n)
-    return QuadRule(nodes=x, weights=w)
-
-
-def gauss_jacobi(n, alpha, beta):
-    """n-point Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta.
-
-    Built by the Golub-Welsch eigenvalue method (scipy.special.roots_jacobi).
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"point count must be >= 1, got {n}")
-    alpha, beta = float(alpha), float(beta)
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha}, {beta})")
-    x, w = special.roots_jacobi(n, alpha, beta)
-    return QuadRule(nodes=x, weights=w, alpha=alpha, beta=beta)
+__all__ = ["PairClass", "classify_pair", "pair_quadrature"]
 
 
 @lru_cache(maxsize=None)
@@ -120,11 +85,9 @@ def classify_pair(mesh, i, j):
     return PairClass("disjoint")
 
 
-def _check_s_n(s, n):
-    if not 0.0 < s < 1.0:
+def _check_s(s):
+    if not 0.0 < float(s) < 1.0:
         raise ValueError(f"fractional order s must lie in (0, 1), got {s}")
-    if n < 1:
-        raise ValueError(f"point count must be >= 1, got {n}")
 
 
 def _identical_scheme(s, n, element):
@@ -201,7 +164,9 @@ def pair_quadrature(pair, s, n, elements):
     """
     s = float(s)
     n = int(n)
-    _check_s_n(s, n)
+    _check_s(s)
+    if n < 1:
+        raise ValueError(f"point count must be >= 1, got {n}")
     if pair.kind == "identical":
         if elements[0] != elements[1]:
             raise ValueError("identical pair requires equal elements")

@@ -1,5 +1,6 @@
 import numpy as np
 
+import frachp.postproc
 from frachp.cli import CONVERGENCE_HEADER, INTERP_HEADER, run
 
 
@@ -55,7 +56,15 @@ def test_convergence_deterministic_output(tmp_path):
     assert strip(p1.read_text()) == strip(p2.read_text())
 
 
-def test_solve_and_matrix_dump(tmp_path):
+def test_solve_and_matrix_dump(tmp_path, monkeypatch):
+    real = frachp.postproc.solve_problem
+    solved = []
+
+    def counted(*args, **kwargs):
+        solved.append(real(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(frachp.postproc, "solve_problem", counted)
     out = tmp_path / "solve.csv"
     prefix = tmp_path / "mat"
     assert run(["solve", "--s", "0.5", "--levels", "2", "--rule", "reduced",
@@ -67,6 +76,22 @@ def test_solve_and_matrix_dump(tmp_path):
     n = int(lines[1].split(",")[4])
     assert A.shape == (n, n) and b.shape == (n,)
     np.testing.assert_allclose(A, A.T, atol=0)
+    # one solve, and the dump is that solve's system to the last bit
+    assert len(solved) == 1
+    system = solved[0][2]
+    np.testing.assert_array_equal(A, system.stiffness)
+    np.testing.assert_array_equal(b, system.load)
+
+
+def test_solve_row_matches_last_convergence_row(tmp_path):
+    args = ["--s", "0.3", "--sigma", "0.6", "--levels", "3",
+            "--rule", "reduced", "--out"]
+    p_solve, p_conv = tmp_path / "solve.csv", tmp_path / "conv.csv"
+    assert run(["solve"] + args + [str(p_solve)]) == 0
+    assert run(["convergence"] + args + [str(p_conv)]) == 0
+    solve_row = p_solve.read_text().strip().split("\n")[-1].split(",")
+    conv_row = p_conv.read_text().strip().split("\n")[-1].split(",")
+    assert solve_row[:7] == conv_row[:7]
 
 
 def test_solve_rejects_multiple_s(capsys):
@@ -85,15 +110,7 @@ def test_interp_study_csv(tmp_path):
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("FRAC_HP_THREADS", "2")
-    p1 = tmp_path / "env.csv"
-    assert run(["convergence", "--s", "0.5", "--levels", "2",
-                "--out", str(p1)]) == 0
-    monkeypatch.delenv("FRAC_HP_THREADS")
-    p2 = tmp_path / "serial.csv"
-    assert run(["convergence", "--s", "0.5", "--levels", "2",
-                "--out", str(p2)]) == 0
-    strip = lambda text: [",".join(line.split(",")[:7])
-                          for line in text.strip().split("\n")]
-    assert strip(p1.read_text()) == strip(p2.read_text())
+def test_removed_flags_exit_2(capsys):
+    assert run(["interp-study", "--quad-offset", "3"]) == 2
+    assert run(["interp-study", "--threads", "2"]) == 2
+    assert run(["convergence", "--threads", "2"]) == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,12 +37,12 @@ def test_rejects_inconsistent_shapes():
 
 def test_n1_fractional_system_regression():
     # L=0, p=1, f=1, s=1/2: c1 = b1/A11 with b1 = 1; the coarse-mesh value
-    # of u_N(0) was frozen from the first verified run (13.31% above u(0)=1;
-    # the spec's quoted 12% guess was slightly optimistic, see ledger)
+    # of u_N(0) was frozen from the first verified run (13.31% above
+    # u(0)=1, inside the 14% bound below)
     mesh = build_geometric_mesh((-1, 1), 0.6, 0)
     dm = build_dof_map(mesh, DegreeRule.uniform(1))
-    system = assemble(mesh, dm, 0.5)
-    system.load[:] = assemble_load(lambda x: np.ones_like(x), mesh, dm)
+    system = replace(assemble(mesh, dm, 0.5),
+                     load=assemble_load(lambda x: np.ones_like(x), mesh, dm))
     sol = cholesky_solve(system)
     assert system.load[0] == pytest.approx(1.0, rel=1e-14)
     assert sol.coeffs[0] == pytest.approx(1.0 / system.stiffness[0, 0],
@@ -53,8 +55,8 @@ def test_n1_fractional_system_regression():
 def test_energy_identity():
     mesh = build_geometric_mesh((-1, 1), 0.6, 2)
     dm = build_dof_map(mesh, DegreeRule.uniform(2))
-    system = assemble(mesh, dm, 0.3)
-    system.load[:] = assemble_load(lambda x: np.ones_like(x), mesh, dm)
+    system = replace(assemble(mesh, dm, 0.3),
+                     load=assemble_load(lambda x: np.ones_like(x), mesh, dm))
     sol = cholesky_solve(system)
     assert sol.energy == pytest.approx(sol.coeffs @ system.load, rel=1e-10)
     assert sol.energy > 0
@@ -68,8 +70,8 @@ def test_discrete_energy_monotone_in_degree():
     energies = []
     for p in range(1, 6):
         dm = build_dof_map(mesh, DegreeRule.uniform(p))
-        system = assemble(mesh, dm, 0.5)
-        system.load[:] = assemble_load(lambda x: np.ones_like(x), mesh, dm)
+        system = replace(assemble(mesh, dm, 0.5),
+                         load=assemble_load(lambda x: np.ones_like(x), mesh, dm))
         energies.append(cholesky_solve(system).energy)
     diffs = np.diff(energies)
     assert np.all(diffs >= -1e-12)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from frachp import (PairClass, build_geometric_mesh, classify_pair,
-                    gauss_jacobi, gauss_legendre, pair_quadrature)
+                    pair_quadrature)
+from frachp.quadrature import _jacobi01, _rule01
 from oracles import oracle_weighted_pair_integral
 
 
@@ -13,49 +14,52 @@ def beta(a, b):
 
 
 def test_gauss_legendre_small():
-    r = gauss_legendre(1)
-    np.testing.assert_allclose(r.nodes, [0.0], atol=1e-15)
-    np.testing.assert_allclose(r.weights, [2.0], rtol=1e-15)
-    r = gauss_legendre(2)
-    np.testing.assert_allclose(r.nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)],
-                               rtol=1e-15)
-    np.testing.assert_allclose(r.weights, [1.0, 1.0], rtol=1e-15)
+    t, w = _rule01(1)
+    np.testing.assert_allclose(t, [0.5], rtol=1e-15)
+    np.testing.assert_allclose(w, [1.0], rtol=1e-15)
+    t, w = _rule01(2)
+    r = 0.5 / np.sqrt(3)
+    np.testing.assert_allclose(t, [0.5 - r, 0.5 + r], rtol=1e-15)
+    np.testing.assert_allclose(w, [0.5, 0.5], rtol=1e-15)
 
 
 def test_gauss_legendre_degree_exactness():
-    r = gauss_legendre(3)  # exact through degree 5
-    assert np.sum(r.weights * r.nodes ** 4) == pytest.approx(0.4, abs=1e-14)
+    t, w = _rule01(3)  # exact through degree 5
+    assert np.sum(w * t ** 4) == pytest.approx(0.2, abs=1e-15)
+    assert np.sum(w * t ** 5) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 def test_gauss_jacobi_reduces_to_legendre():
-    r = gauss_jacobi(1, 0.0, 0.0)
-    np.testing.assert_allclose(r.nodes, [0.0], atol=1e-15)
-    np.testing.assert_allclose(r.weights, [2.0], rtol=1e-15)
+    t, w = _jacobi01(1, 0.0, 0.0)
+    np.testing.assert_allclose(t, [0.5], rtol=1e-15)
+    np.testing.assert_allclose(w, [1.0], rtol=1e-15)
 
 
 def test_gauss_jacobi_one_point_moments():
-    r = gauss_jacobi(1, 1.0, 0.0)  # weight (1 - x)
-    assert r.weights.sum() == pytest.approx(2.0, rel=1e-14)
-    assert r.nodes[0] == pytest.approx(-1.0 / 3.0, rel=1e-14)
+    t, w = _jacobi01(1, 0.0, 1.0)  # weight (1 - t)
+    assert w.sum() == pytest.approx(0.5, rel=1e-14)
+    assert t[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha,beta_exp", [(-0.4, 0.0), (0.0, -0.4),
                                             (1.0, -0.5), (0.3, 0.7)])
 def test_gauss_jacobi_weight_sums(alpha, beta_exp):
     for n in (1, 4, 9):
-        r = gauss_jacobi(n, alpha, beta_exp)
-        assert np.all(r.weights > 0)
-        expect = 2.0 ** (alpha + beta_exp + 1) * beta(alpha + 1, beta_exp + 1)
-        assert r.weights.sum() == pytest.approx(expect, rel=1e-12)
+        t, w = _jacobi01(n, beta_exp, alpha)  # weight t^beta (1-t)^alpha
+        assert np.all(w > 0) and np.all((t > 0) & (t < 1))
+        expect = beta(alpha + 1, beta_exp + 1)
+        assert w.sum() == pytest.approx(expect, rel=1e-12)
 
 
 def test_gauss_jacobi_rejects_bad_exponents():
     with pytest.raises(ValueError):
-        gauss_jacobi(4, -1.0, 0.0)
+        _jacobi01(4, 0.0, -1.0)
     with pytest.raises(ValueError):
-        gauss_jacobi(4, 0.0, -1.5)
+        _jacobi01(4, -1.5, 0.0)
     with pytest.raises(ValueError):
-        gauss_jacobi(0, 0.0, 0.0)
+        _jacobi01(0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        _rule01(0)
 
 
 def test_classify_pair():
