@@ -20,9 +20,9 @@ from .basis import (DegreeRule, DofMap, build_dof_map, eval_fem_derivative,
                     shape_deriv, shape_eval)
 from .geomesh import GeometricMesh, build_geometric_mesh, element_of
 from .linsolve import NotSPDError, Solution, cholesky_solve
-from .postproc import (ConvergenceRecord, convergence_study, energy_error,
-                       exact_energy, exact_solution, records_to_csv,
-                       solve_problem)
+from .postproc import (ConvergenceRecord, EnergyGapError, convergence_study,
+                       energy_error, exact_energy, exact_solution,
+                       records_to_csv, solve_problem)
 from .quadrature import PairClass, classify_pair, pair_quadrature
 
 __version__ = "0.1.0"

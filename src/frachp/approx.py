@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -32,6 +33,9 @@ __all__ = [
     "weighted_derivative_norms", "interpolant_weighted_error",
     "interpolation_error_study",
 ]
+
+# the weighted integrals reuse a few weight exponents at up to 1024 points
+_weighted_rule = lru_cache(maxsize=None)(_jacobi01)
 
 
 class DivergentIntegralError(RuntimeError):
@@ -69,9 +73,9 @@ def _stabilized_integral(g, interval, singular_end, exponent,
     n = n_start
     while True:
         if singular_end == "left":
-            t, w = _jacobi01(n, exponent, 0.0)
+            t, w = _weighted_rule(n, exponent, 0.0)
         else:
-            t, w = _jacobi01(n, 0.0, exponent)
+            t, w = _weighted_rule(n, 0.0, exponent)
         x = a + h * t
         vals.append(h ** (exponent + 1.0)
                     * float(w @ np.asarray(g(x), dtype=float)))
@@ -280,7 +284,7 @@ def weighted_derivative_norms(s, p_max, epsilon):
     norms = np.empty(p_max)
     for p in range(1, p_max + 1):
         q = rec.polynomials[p]
-        t, w = _jacobi01(p + 16, 0.0, 2.0 * epsilon - 1.0)
+        t, w = _weighted_rule(p + 16, 0.0, 2.0 * epsilon - 1.0)
         g = (1.0 + t) ** (2.0 * (s - p)) * q(t) ** 2
         norms[p - 1] = math.sqrt(2.0 * c * c * float(w @ g))
     gammas = [(norms[p - 1] / math.factorial(p)) ** (1.0 / p)

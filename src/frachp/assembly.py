@@ -10,10 +10,27 @@ term carrying the complement weight kappa:
              = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s).
 
 kappa is available in closed form, so no unbounded-domain quadrature is
-needed.  The double integral is assembled over ordered element pairs with
-the singular schemes from the quadrature module; on the two boundary
-elements the endpoint singularity of kappa is removed analytically by
-factoring the first-order zero of the basis functions, leaving a
+needed.  The double integral runs over element pairs i <= j (twice for
+i < j) with the schemes of the quadrature module, batched per pair class:
+
+* identical pairs T x T: h^(1-2s) times one reference block per degree,
+  whose rows are divided differences on the reference element;
+* adjacent pairs T_e x T_e+1: the points are distances from the shared
+  vertex normalised per element, so one shape table serves each degree
+  pair; a pair only contributes its weights in the angular Duffy variable,
+  applied to a table of angular slices;
+* disjoint pairs T_i x T_j, j >= i + 2: on the tensor Gauss-Legendre rule
+  the block factors into S_x diag(K 1) S_x^T, -S_x K S_z^T (and its
+  transpose) and S_z diag(K^T 1) S_z^T, with K the kernel weights and S
+  the shape tables, which depend on neither the element nor s and are
+  cached across calls.  Pairs are batched per row i and point count, so a
+  batch holds at most one pair per element.
+
+Blocks are added with np.add.at, the rows and columns of constrained
+endpoint dofs dropped; the lower triangle is mirrored at the end.  The
+complement term is batched per degree on the interior elements.  On the two
+boundary elements the endpoint singularity of kappa is removed analytically
+by factoring the first-order zero of the basis functions, leaving a
 Gauss-Jacobi weight with exponent 2-2s.
 """
 
@@ -21,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import _shape_matrix
-from .quadrature import (_check_s, _jacobi01, _rule01, classify_pair,
-                         pair_quadrature)
+from .quadrature import (_adjacent_lengths, _adjacent_scheme, _check_s,
+                         _disjoint_n, _identical_scheme, _jacobi01, _rule01)
 
 __all__ = ["GalerkinSystem", "kernel_constant", "complement_weight",
            "assemble", "assemble_load"]
@@ -77,72 +95,179 @@ def _mapped_shapes(dofmap, e, x):
     return _shape_matrix(int(dofmap.degrees[e]), t)
 
 
-def _pair_block(mesh, dofmap, i, j, s, n):
-    """Divided-difference contribution of the ordered pair (T_i, T_j), i <= j.
+@lru_cache(maxsize=None)
+def _gauss_shapes(p, n):
+    """Degree-p shapes at the n Gauss-Legendre points of an element.
 
-    Returns (globals, local) with local[k, l] = iint dd_k dd_l |x-z|^(1-2s),
-    doubled for i < j to cover the mirrored pair.
+    The table serves every disjoint pair and every interior complement
+    block with these (p, n); it depends on neither the element nor s.
     """
-    pair = classify_pair(mesh, i, j)
-    x, z, w = pair_quadrature(pair, s, n, (mesh.element(i), mesh.element(j)))
-    sx = _mapped_shapes(dofmap, i - 1, x)
-    gx = dofmap.elem_dofs[i - 1]
-    if i == j:
-        sz = _mapped_shapes(dofmap, i - 1, z)
-        keep = gx >= 0
-        gs = gx[keep]
-        rows = sx[keep] - sz[keep]
-    else:
-        sz = _mapped_shapes(dofmap, j - 1, z)
-        gz = dofmap.elem_dofs[j - 1]
-        acc = {}
-        for k, g in enumerate(gx):
-            if g >= 0:
-                acc[int(g)] = sx[k].copy()
-        for k, g in enumerate(gz):
-            if g >= 0:
-                if int(g) in acc:
-                    acc[int(g)] -= sz[k]
-                else:
-                    acc[int(g)] = -sz[k]
-        gs = np.fromiter(acc.keys(), dtype=int, count=len(acc))
-        rows = np.vstack(list(acc.values()))
-    rows = rows / (x - z)
-    local = (rows * w) @ rows.T
-    if i != j:
-        local *= 2.0
-    return gs, local
+    t, _ = _rule01(n)
+    table = _shape_matrix(p, 2.0 * t - 1.0)
+    table.flags.writeable = False
+    return table
 
 
-def _complement_block(mesh, dofmap, e, s, n):
-    """Local matrix of int_T phi_k phi_l kappa over element e (0-based)."""
-    i = e + 1
-    lo, hi = mesh.element(i)
+def _scatter(A, rows, cols, blocks):
+    """A[rows[b, k], cols[b, l]] += blocks[b, k, l], summing repeats.
+
+    Index -1 marks a constrained endpoint dof: its rows and columns of
+    blocks are zeroed in place and land on index 0 as zeros, which leaves
+    A unchanged.  Flat indices into the contiguous A make np.add.at several
+    times faster than a (row, column) index pair.
+    """
+    blocks[rows < 0] = 0.0
+    blocks.swapaxes(1, 2)[cols < 0] = 0.0
+    flat = (np.maximum(rows, 0)[:, :, None] * A.shape[1]
+            + np.maximum(cols, 0)[:, None, :])
+    np.add.at(A.reshape(-1), flat.ravel(), blocks.ravel())
+
+
+def _identical_blocks(A, els, s, quad_offset):
+    """T x T for every element: h^(1-2s) times one reference block per
+    degree, whose rows are the divided differences on the reference
+    element."""
+    for p in np.unique(els.degrees).tolist():
+        es = np.flatnonzero(els.degrees == p)
+        tx, tz, w = _identical_scheme(s, p + quad_offset)
+        rows = _shape_matrix(p, 2.0 * tx - 1.0)
+        rows -= _shape_matrix(p, 2.0 * tz - 1.0)
+        rows /= tx - tz
+        ref = (rows * w) @ rows.T
+        g = els.dofs(es)
+        _scatter(A, g, g, els.h[es, None, None] ** (1.0 - 2.0 * s) * ref)
+
+
+def _adjacent_table(s, n, pi, pj):
+    """Angular slices of the adjacent block for degrees (pi, pj): row
+    (t, u) holds sum_q wq/xi^2 r_k r_l over the radial points of triangle t
+    at angular point u, r being the divided-difference rows with the shared
+    vertex merged; shape (2n, m*m), m = pi + pj + 1."""
+    rho_x, rho_z, xi, wq, _, _ = _adjacent_scheme(s, n)
+    # points ordered (t, u, q): each (k, q) slice below is a strided matrix
+    rho_x, rho_z = rho_x.transpose(0, 2, 1), rho_z.transpose(0, 2, 1)
+    m = pi + pj + 1
+    rows = np.zeros((m, 2 * n * n))
+    # local pi of T_e and local 0 of T_e+1 are the shared vertex
+    rows[:pi + 1] = _shape_matrix(pi, 1.0 - 2.0 * rho_x.ravel())
+    rows[pi:] -= _shape_matrix(pj, 2.0 * rho_z.ravel() - 1.0)
+    rows = rows.reshape(m, 2, n, n)
+    rows *= np.sqrt(wq) / xi
+    rows = rows.transpose(1, 2, 0, 3)  # (t, u, k, q)
+    return (rows @ rows.swapaxes(-1, -2)).reshape(2 * n, m * m)
+
+
+def _adjacent_blocks(A, els, s, quad_offset):
+    """T_e x T_e+1, twice (for the mirrored pair), per degree pair.
+
+    The weight of a point factors into a radial part wq / xi^2, held in the
+    table, and a per-pair part h_x h_z wu ell^(-1-2s) in the angular
+    variable, so each block is one row of weights times the table.
+    """
+    e = np.arange(len(els.h) - 1)
+    keys = np.stack((els.degrees[:-1], els.degrees[1:]), axis=1)
+    for pi, pj in np.unique(keys, axis=0).tolist():
+        es = e[(keys[:, 0] == pi) & (keys[:, 1] == pj)]
+        n = max(pi, pj) + quad_offset
+        tu, wu = _rule01(n)
+        hx, hz = els.h[es, None], els.h[es + 1, None]
+        weights = 2.0 * hx[:, None] * hz[:, None] * wu * _adjacent_lengths(
+            tu, hx, hz) ** (-1.0 - 2.0 * s)
+        blocks = weights.reshape(len(es), 2 * n) @ _adjacent_table(
+            s, n, pi, pj)  # the table is freed before the scatter
+        g = np.concatenate((els.dofs(es)[:, :pi], els.dofs(es + 1)), axis=1)
+        _scatter(A, g, g, blocks.reshape(len(es), pi + pj + 1, -1))
+
+
+def _disjoint_blocks(A, els, s, quad_offset):
+    """T_i x T_j for j >= i + 2, twice, batched per row i and point count.
+
+    On a tensor Gauss rule the kernel weights K_ab = h_i h_j w_a w_b
+    |x_a - z_b|^(-1-2s) factor the block into S_x diag(K 1) S_x^T,
+    -S_x K S_z^T (and its transpose) and S_z diag(K^T 1) S_z^T.
+    """
+    ne = len(els.h)
+    for i in range(ne - 2):
+        js = np.arange(i + 2, ne)
+        pi = int(els.degrees[i])
+        pj = els.degrees[js]
+        n = _disjoint_n(np.maximum(pi, pj) + quad_offset, els.h[i], els.h[js],
+                        els.lo[js] - els.hi[i])
+        gx = els.dofs([i])[0]
+        own = np.zeros((pi + 1, pi + 1))
+        for p, nq in sorted(set(zip(pj.tolist(), n.tolist()))):
+            sel = js[(pj == p) & (n == nq)]
+            t, wt = _rule01(nq)
+            x = els.lo[i] + els.h[i] * t
+            z = els.lo[sel, None] + els.h[sel, None] * t
+            K = z[:, None, :] - x[:, None]
+            np.power(K, -1.0 - 2.0 * s, out=K)
+            K *= (els.h[i] * els.h[sel])[:, None, None] * np.outer(wt, wt)
+            sx, sz = _gauss_shapes(pi, nq), _gauss_shapes(p, nq)
+            own += (sx * K.sum(axis=(0, 2))) @ sx.T
+            cross = -2.0 * (sx @ K) @ sz.T
+            gz = els.dofs(sel)
+            gxs = np.broadcast_to(gx, (len(sel), pi + 1))
+            _scatter(A, gxs, gz, cross)
+            _scatter(A, gz, gxs, cross.swapaxes(1, 2))
+            _scatter(A, gz, gz, 2.0 * (sz * K.sum(axis=1)[:, None, :]) @ sz.T)
+        _scatter(A, gx[None], gx[None], 2.0 * own[None])
+
+
+def _interior_complement_blocks(A, els, s, quad_offset, domain, c):
+    """c * int_T phi_k phi_l kappa on every element but the two boundary
+    ones, batched per degree."""
+    inner = np.arange(1, len(els.h) - 1)
+    for p in np.unique(els.degrees[inner]).tolist():
+        es = inner[els.degrees[inner] == p]
+        n = p + quad_offset
+        t, w = _rule01(n)
+        x = els.lo[es, None] + els.h[es, None] * t
+        weights = w * els.h[es, None] * complement_weight(domain, s, x)
+        vals = _gauss_shapes(p, n)
+        g = els.dofs(es)
+        _scatter(A, g, g, c * ((vals * weights[:, None, :]) @ vals.T))
+
+
+def _boundary_complement_block(mesh, dofmap, e, s, n):
+    """Local matrix of int_T phi_k phi_l kappa over boundary element e.
+
+    The active shapes vanish at the domain endpoint; that zero is factored
+    and (dist)^(2-2s) absorbed into a Jacobi weight.
+    """
+    lo, hi = mesh.element(e + 1)
     h = hi - lo
-    a, b = mesh.a, mesh.b
     g = dofmap.elem_dofs[e]
     keep = g >= 0
     two_s = 2.0 * s
-    if e == 0 or e == mesh.n_elements - 1:
-        # boundary element: the active shapes vanish at the domain endpoint;
-        # factor that zero and absorb (dist)^(2-2s) into a Jacobi weight
-        endpoint, far_end = (a, b) if e == 0 else (b, a)
-        exp0 = (2.0 - two_s, 0.0) if e == 0 else (0.0, 2.0 - two_s)
-        tj, wj = _jacobi01(n, *exp0)
-        xj = lo + h * tj
-        ratios = _mapped_shapes(dofmap, e, xj)[keep] / np.abs(xj - endpoint)
-        local = (ratios * (wj * h ** (3.0 - two_s) / two_s)) @ ratios.T
-        tg, wg = _rule01(n)
-        xg = lo + h * tg
-        kappa_far = np.abs(far_end - xg) ** (-two_s) / two_s
-        vals = _mapped_shapes(dofmap, e, xg)[keep]
-        local += (vals * (wg * h * kappa_far)) @ vals.T
-    else:
-        tg, wg = _rule01(n)
-        xg = lo + h * tg
-        vals = _mapped_shapes(dofmap, e, xg)[keep]
-        local = (vals * (wg * h * complement_weight((a, b), s, xg))) @ vals.T
+    endpoint, far_end = (mesh.a, mesh.b) if e == 0 else (mesh.b, mesh.a)
+    exp0 = (2.0 - two_s, 0.0) if e == 0 else (0.0, 2.0 - two_s)
+    tj, wj = _jacobi01(n, *exp0)
+    xj = lo + h * tj
+    ratios = _mapped_shapes(dofmap, e, xj)[keep] / np.abs(xj - endpoint)
+    local = (ratios * (wj * h ** (3.0 - two_s) / two_s)) @ ratios.T
+    tg, wg = _rule01(n)
+    xg = lo + h * tg
+    kappa_far = np.abs(far_end - xg) ** (-two_s) / two_s
+    vals = _mapped_shapes(dofmap, e, xg)[keep]
+    local += (vals * (wg * h * kappa_far)) @ vals.T
     return g[keep], local
+
+
+class _Elements:
+    """Element bounds, lengths, degrees and dof tables of a mesh."""
+
+    def __init__(self, mesh, dofmap):
+        self.lo = mesh.nodes[:-1]
+        self.hi = mesh.nodes[1:]
+        self.h = self.hi - self.lo
+        self.degrees = np.asarray(dofmap.degrees)
+        self._tables = dofmap.elem_dofs
+
+    def dofs(self, es):
+        """Stacked dof tables (-1 for a constrained dof) of elements es,
+        which share one degree."""
+        return np.stack([self._tables[e] for e in es])
 
 
 def assemble(mesh, dofmap, s, quad_offset=6):
@@ -156,20 +281,19 @@ def assemble(mesh, dofmap, s, quad_offset=6):
     if dofmap.mesh is not mesh and not np.array_equal(dofmap.mesh.nodes, mesh.nodes):
         raise ValueError("dofmap was built for a different mesh")
     s = float(s)
-    ne = mesh.n_elements
     N = dofmap.n_dofs
+    els = _Elements(mesh, dofmap)
     A = np.zeros((N, N))
-    for i in range(1, ne + 1):
-        for j in range(i, ne + 1):
-            p = max(dofmap.degrees[i - 1], dofmap.degrees[j - 1])
-            gs, local = _pair_block(mesh, dofmap, i, j, s, int(p) + quad_offset)
-            A[np.ix_(gs, gs)] += local
+    _identical_blocks(A, els, s, quad_offset)
+    _adjacent_blocks(A, els, s, quad_offset)
+    _disjoint_blocks(A, els, s, quad_offset)
 
     c = kernel_constant(s)
     A *= 0.5 * c
-    for e in range(ne):
+    _interior_complement_blocks(A, els, s, quad_offset, mesh.domain, c)
+    for e in (0, mesh.n_elements - 1):
         n = int(dofmap.degrees[e]) + quad_offset
-        gs, local = _complement_block(mesh, dofmap, e, s, n)
+        gs, local = _boundary_complement_block(mesh, dofmap, e, s, n)
         A[np.ix_(gs, gs)] += c * local
 
     A = np.tril(A) + np.tril(A, -1).T  # mirror the lower triangle

@@ -107,8 +107,9 @@ def _shape_matrix(p, t):
     d = t[None, :] - nodes[:, None]
     exact = d == 0.0
     hit = exact.any(axis=0)
-    terms = w[:, None] / np.where(exact, 1.0, d)
-    vals = terms / terms.sum(axis=0)
+    d[exact] = 1.0
+    vals = np.divide(w[:, None], d, out=d)  # in place: tables can be large
+    vals /= vals.sum(axis=0)
     if hit.any():
         vals[:, hit] = exact[:, hit]
     return vals

@@ -25,8 +25,8 @@ from .geomesh import build_geometric_mesh
 from .linsolve import cholesky_solve
 from .quadrature import _check_s
 
-__all__ = ["ConvergenceRecord", "exact_solution", "exact_energy",
-           "energy_error", "solve_problem", "solve_record",
+__all__ = ["ConvergenceRecord", "EnergyGapError", "exact_solution",
+           "exact_energy", "energy_error", "solve_problem", "solve_record",
            "convergence_study", "record_fields", "records_to_csv",
            "CSV_HEADER"]
 
@@ -64,12 +64,27 @@ def exact_energy(s):
             / (math.gamma(s + 0.5) * math.gamma(s + 1.5)))
 
 
+class EnergyGapError(RuntimeError):
+    """The discrete energy exceeds the exact energy beyond roundoff."""
+
+
 def energy_error(system, sol, s):
     """sqrt(a(u,u) - a(u_N,u_N)) for the f = 1 benchmark on (-1, 1).
 
-    Clamped at zero to guard against roundoff once the error underflows.
+    The Galerkin solution cannot carry more energy than u, so the signed
+    gap a(u,u) - a(u_N,u_N) is nonnegative up to roundoff, ~N eps a(u,u)
+    with N = system.n; within that margin a negative gap reads as a zero
+    error.  A gap below -N eps a(u,u) is a quadrature or assembly defect
+    and raises EnergyGapError.
     """
-    return math.sqrt(max(0.0, exact_energy(s) - sol.energy))
+    exact = exact_energy(s)
+    gap = exact - sol.energy
+    if gap < -system.n * np.finfo(float).eps * exact:
+        raise EnergyGapError(
+            f"discrete energy {sol.energy!r} exceeds the exact energy "
+            f"{exact!r} by {-gap:.3e}, beyond the roundoff of N = "
+            f"{system.n} dofs")
+    return math.sqrt(max(gap, 0.0))
 
 
 @dataclass(frozen=True)
@@ -103,8 +118,8 @@ def solve_problem(s, sigma, L, rule, quad_offset=6):
 def solve_record(s, sigma, L, rule_kind, quad_offset=6):
     """One study point: solve with p = L and time the solve.
 
-    Returns (record, system).  A failure of the solve is raised as a
-    RuntimeError naming (s, L).
+    Returns (record, system).  A failure of the solve, an EnergyGapError
+    included, is raised as a RuntimeError naming (s, L).
     """
     _check_s(s)
     rule = DegreeRule(rule_kind, L)
@@ -112,13 +127,14 @@ def solve_record(s, sigma, L, rule_kind, quad_offset=6):
     try:
         _, dofmap, system, sol = solve_problem(s, sigma, L, rule,
                                                quad_offset=quad_offset)
+        wall = time.perf_counter() - start
+        error = energy_error(system, sol, s)
     except Exception as exc:
         raise RuntimeError(f"solve failed at s={s}, L={L}: {exc}") from exc
-    wall = time.perf_counter() - start
     record = ConvergenceRecord(
         s=float(s), sigma=float(sigma), L=L, degree_rule=rule,
-        N=dofmap.n_dofs, energy_error=energy_error(system, sol, s),
-        discrete_energy=sol.energy, wall_seconds=wall)
+        N=dofmap.n_dofs, energy_error=error, discrete_energy=sol.energy,
+        wall_seconds=wall)
     return record, system
 
 

@@ -21,11 +21,17 @@ weights:
 * disjoint pairs use tensor Gauss-Legendre with the (smooth) kernel
   evaluated pointwise, adding ceil(log2(size/dist)) points per direction
   when the pair is near-singular.
+
+The identical and adjacent schemes are defined in per-element reference
+coordinates and the disjoint points are Gauss-Legendre points of each
+element, so the points seen by an element's shape functions never depend on
+the element lengths; only the weights do.  pair_quadrature maps a scheme to
+one physical pair; the assembly uses the same schemes to tabulate shape
+functions once per pair class and degree.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,9 +52,12 @@ def _rule01(n):
     return t, wt
 
 
-@lru_cache(maxsize=None)
 def _jacobi01(n, exp0, exp1):
-    """Rule on (0, 1) with the weight t^exp0 (1-t)^exp1 absorbed."""
+    """Rule on (0, 1) with the weight t^exp0 (1-t)^exp1 absorbed.
+
+    Not cached: the exponents of the singular schemes move with s, so a
+    cache keyed by them would grow by a few rules with every new s.
+    """
     if exp0 == 0.0 and exp1 == 0.0:
         return _rule01(n)
     x, w = special.roots_jacobi(int(n), exp1, exp0)
@@ -90,61 +99,58 @@ def _check_s(s):
         raise ValueError(f"fractional order s must lie in (0, 1), got {s}")
 
 
-def _identical_scheme(s, n, element):
-    a, b = element
-    h = b - a
+def _identical_scheme(s, n):
+    """Identical pair T x T on the reference element T = (0, 1).
+
+    Returns (tx, tz, w): the two triangles z < x and z > x, each a
+    Gauss-Jacobi rule in the diagonal distance tensored with Gauss-Legendre
+    along the element, with |tx - tz|^(1-2s) absorbed into w.  On an
+    element of length h the points scale by h and the weights by h^(3-2s).
+    """
     tj, wj = _jacobi01(n, 1.0 - 2.0 * s, 1.0)
     tu, wu = _rule01(n)
-    delta = (h * tj)[:, None]
-    span = (h - h * tj)[:, None]
-    x_upper = a + delta + span * tu[None, :]  # triangle z < x
-    x_lower = a + span * tu[None, :]          # triangle z > x
-    w = (h ** (3.0 - 2.0 * s)) * np.outer(wj, wu)
-    x = np.concatenate((x_upper.ravel(), x_lower.ravel()))
-    z = np.concatenate(((x_upper - delta).ravel(), (x_lower + delta).ravel()))
-    return x, z, np.concatenate((w.ravel(), w.ravel()))
+    span = ((1.0 - tj)[:, None] * tu[None, :]).ravel()
+    shifted = (tj[:, None] + (1.0 - tj)[:, None] * tu[None, :]).ravel()
+    w = np.outer(wj, wu).ravel()
+    return (np.concatenate((shifted, span)), np.concatenate((span, shifted)),
+            np.concatenate((w, w)))
 
 
-def _adjacent_scheme(s, n, elements):
-    (a1, b1), (a2, b2) = elements
-    if b1 == a2:
-        v, sx, sz = b1, -1.0, 1.0
-    elif a1 == b2:
-        v, sx, sz = a1, 1.0, -1.0
-    else:
-        raise ValueError(f"elements ({a1},{b1}) and ({a2},{b2}) share no vertex")
-    hx, hz = b1 - a1, b2 - a2
-    tq, wq = _jacobi01(n, 2.0 - 2.0 * s, 0.0)
+def _adjacent_scheme(s, n):
+    """Duffy scheme for two elements that share a vertex.
+
+    Points are distances from the shared vertex normalised per element,
+    rho_x = |x - v| / h_x and rho_z = |z - v| / h_z, so they do not depend
+    on the element lengths.  Returns (rho_x, rho_z, xi, wq, tu, wu):
+    rho_x, rho_z have shape (2, n, n), indexed (triangle, xi, tau); on
+    triangle 0 (rho_z <= rho_x) rho_x = xi and rho_z = xi * tau, on
+    triangle 1 the roles swap.  For lengths h_x, h_z the distance is
+    |x - z| = xi * ell with ell = _adjacent_lengths(tu, h_x, h_z), and the
+    weight with |x - z|^(1-2s) absorbed is h_x h_z wq wu ell^(1-2s), the
+    Jacobi weight in xi carrying xi^(1-2s) and the Duffy Jacobian xi.
+    """
+    xi, wq = _jacobi01(n, 2.0 - 2.0 * s, 0.0)
     tu, wu = _rule01(n)
-    kernel_pow = 1.0 - 2.0 * s
-    # triangle with rho_z/hz <= rho_x/hx: zeta = xi * tau
-    xi = tq[:, None]
-    xa = v + sx * hx * xi + 0.0 * tu[None, :]
-    za = v + sz * hz * xi * tu[None, :]
-    wa = hx * hz * np.outer(wq, wu * (hx + hz * tu) ** kernel_pow)
-    # symmetric triangle: xi = zeta * tau
-    xb = v + sx * hx * xi * tu[None, :]
-    zb = v + sz * hz * xi + 0.0 * tu[None, :]
-    wb = hx * hz * np.outer(wq, wu * (hx * tu + hz) ** kernel_pow)
-    x = np.concatenate((xa.ravel(), xb.ravel()))
-    z = np.concatenate((za.ravel(), zb.ravel()))
-    return x, z, np.concatenate((wa.ravel(), wb.ravel()))
+    radial = np.broadcast_to(xi[:, None], (n, n))
+    angular = xi[:, None] * tu[None, :]
+    rho_x = np.stack((radial, angular))
+    rho_z = np.stack((angular, radial))
+    return rho_x, rho_z, xi, wq, tu, wu
 
 
-def _disjoint_scheme(s, n, elements):
-    (a1, b1), (a2, b2) = elements
-    h1, h2 = b1 - a1, b2 - a2
-    gap = max(a2 - b1, a1 - b2)
-    if gap <= 0:
-        raise ValueError("disjoint scheme requires separated elements")
-    size = max(h1, h2)
-    n_eff = n + (math.ceil(math.log2(size / gap)) if gap < size else 0)
-    t1, w1 = _rule01(n_eff)
-    t2, w2 = _rule01(n_eff)
-    x = (a1 + h1 * t1)[:, None] + 0.0 * t2[None, :]
-    z = a2 + h2 * t2[None, :] + 0.0 * t1[:, None]
-    w = h1 * h2 * np.outer(w1, w2) * np.abs(x - z) ** (1.0 - 2.0 * s)
-    return x.ravel(), z.ravel(), w.ravel()
+def _adjacent_lengths(tu, hx, hz):
+    """ell[..., t, u] = |x - z| / xi on triangle t of the adjacent scheme;
+    hx, hz broadcast against tu (shape (nb, 1) gives (nb, 2, n))."""
+    return np.stack((hx + hz * tu, hx * tu + hz), axis=-2)
+
+
+def _disjoint_n(n, hx, hz, gap):
+    """Gauss-Legendre points per direction on a disjoint pair: n, plus
+    ceil(log2(size / gap)) when the gap is below the larger length (a
+    near-singular pair).  Vectorised over arrays of lengths and gaps."""
+    size = np.maximum(hx, hz)
+    extra = np.where(gap < size, np.ceil(np.log2(size / gap)), 0.0)
+    return n + extra.astype(int)
 
 
 def pair_quadrature(pair, s, n, elements):
@@ -170,9 +176,34 @@ def pair_quadrature(pair, s, n, elements):
     if pair.kind == "identical":
         if elements[0] != elements[1]:
             raise ValueError("identical pair requires equal elements")
-        return _identical_scheme(s, n, elements[0])
+        a, b = elements[0]
+        h = b - a
+        tx, tz, w = _identical_scheme(s, n)
+        return a + h * tx, a + h * tz, h ** (3.0 - 2.0 * s) * w
+    (a1, b1), (a2, b2) = elements
+    hx, hz = b1 - a1, b2 - a2
     if pair.kind == "adjacent":
-        return _adjacent_scheme(s, n, elements)
+        if b1 == a2:
+            v, sx, sz = b1, -1.0, 1.0
+        elif a1 == b2:
+            v, sx, sz = a1, 1.0, -1.0
+        else:
+            raise ValueError(f"elements ({a1},{b1}) and ({a2},{b2}) share "
+                             f"no vertex")
+        rho_x, rho_z, xi, wq, tu, wu = _adjacent_scheme(s, n)
+        ell = _adjacent_lengths(tu, hx, hz)
+        w = (hx * hz * wq[None, :, None]
+             * (wu * ell ** (1.0 - 2.0 * s))[:, None, :])
+        return ((v + sx * hx * rho_x).ravel(), (v + sz * hz * rho_z).ravel(),
+                w.ravel())
     if pair.kind == "disjoint":
-        return _disjoint_scheme(s, n, elements)
+        gap = max(a2 - b1, a1 - b2)
+        if gap <= 0:
+            raise ValueError("disjoint scheme requires separated elements")
+        t, wt = _rule01(int(_disjoint_n(n, hx, hz, gap)))
+        x = (a1 + hx * t)[:, None]
+        z = (a2 + hz * t)[None, :]
+        w = hx * hz * np.outer(wt, wt) * np.abs(x - z) ** (1.0 - 2.0 * s)
+        return (np.broadcast_to(x, w.shape).ravel(),
+                np.broadcast_to(z, w.shape).ravel(), w.ravel())
     raise ValueError(f"unknown pair kind {pair.kind!r}")

@@ -94,6 +94,12 @@ def test_solve_row_matches_last_convergence_row(tmp_path):
     assert solve_row[:7] == conv_row[:7]
 
 
+def test_energy_gap_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(frachp.postproc, "exact_energy", lambda s: 1.0)
+    assert run(["solve", "--s", "0.5", "--levels", "2"]) == 3
+    assert "s=0.5, L=2" in capsys.readouterr().err
+
+
 def test_solve_rejects_multiple_s(capsys):
     assert run(["solve", "--s", "0.3,0.5"]) == 2
     assert "--s" in capsys.readouterr().err

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import frachp.postproc
 from frachp import (DegreeRule, convergence_study, energy_error, exact_energy,
                     exact_solution, records_to_csv, solve_problem)
-from frachp.postproc import CSV_HEADER
+from frachp.linsolve import Solution
+from frachp.postproc import CSV_HEADER, EnergyGapError, solve_record
 
 # closed-form energies, frozen after verification against the adaptive
 # integral of the closed-form solution (agreement ~1e-15)
@@ -41,10 +44,29 @@ def test_exact_energy_matches_integral_oracle(s):
 
 def test_energy_error_zero_coefficients():
     mesh, dm, system, sol = solve_problem(0.5, 0.6, 1, DegreeRule.uniform(1))
-    from frachp.linsolve import Solution
     zero = Solution(coeffs=np.zeros(dm.n_dofs), residual_norm=0.0, energy=0.0)
     assert energy_error(system, zero, 0.5) == pytest.approx(
         math.sqrt(exact_energy(0.5)), rel=1e-14)
+
+
+def test_energy_gap_beyond_roundoff_raises():
+    _, _, system, sol = solve_problem(0.5, 0.6, 2, DegreeRule.uniform(2))
+    exact = exact_energy(0.5)
+    over = replace(sol, energy=exact + 1e-8)
+    with pytest.raises(EnergyGapError, match="by 1.000e-08"):
+        energy_error(system, over, 0.5)
+    # a negative gap within N eps a(u,u) is roundoff and reads as zero error
+    eps = np.finfo(float).eps
+    assert energy_error(system, replace(sol, energy=exact * (1 + eps)),
+                        0.5) == 0.0
+
+
+def test_solve_record_names_energy_gap_failure(monkeypatch):
+    # an exact energy below the discrete one (~1.55) makes the gap negative
+    monkeypatch.setattr(frachp.postproc, "exact_energy", lambda s: 1.0)
+    with pytest.raises(RuntimeError, match=r"s=0\.5, L=2") as info:
+        solve_record(0.5, 0.6, 2, "uniform")
+    assert isinstance(info.value.__cause__, EnergyGapError)
 
 
 def test_energy_error_formulas_agree():
