@@ -28,10 +28,11 @@ i < j) with the schemes of the quadrature module, batched per pair class:
 
 Blocks are added with np.add.at, the rows and columns of constrained
 endpoint dofs dropped; the lower triangle is mirrored at the end.  The
-complement term is batched per degree on the interior elements.  On the two
-boundary elements the endpoint singularity of kappa is removed analytically
-by factoring the first-order zero of the basis functions, leaving a
-Gauss-Jacobi weight with exponent 2-2s.
+complement term and the load are batched per degree on the Gauss-Legendre
+shape tables of the disjoint pairs, with points in per-element reference
+coordinates.  On the two boundary elements the endpoint singularity of kappa
+is removed analytically by factoring the first-order zero of the basis
+functions, leaving a Gauss-Jacobi weight with exponent 2-2s.
 """
 
 from __future__ import annotations
@@ -88,19 +89,12 @@ def complement_weight(domain, s, x):
     return val[()]
 
 
-def _mapped_shapes(dofmap, e, x):
-    """Shape-function values of element e (0-based) at physical points x."""
-    lo, hi = dofmap.mesh.element(e + 1)
-    t = 2.0 * (x - lo) / (hi - lo) - 1.0
-    return _shape_matrix(int(dofmap.degrees[e]), t)
-
-
 @lru_cache(maxsize=None)
 def _gauss_shapes(p, n):
     """Degree-p shapes at the n Gauss-Legendre points of an element.
 
-    The table serves every disjoint pair and every interior complement
-    block with these (p, n); it depends on neither the element nor s.
+    The table serves every disjoint pair, complement block and load batch
+    with these (p, n); it depends on neither the element nor s.
     """
     t, _ = _rule01(n)
     table = _shape_matrix(p, 2.0 * t - 1.0)
@@ -109,7 +103,8 @@ def _gauss_shapes(p, n):
 
 
 def _scatter(A, rows, cols, blocks):
-    """A[rows[b, k], cols[b, l]] += blocks[b, k, l], summing repeats.
+    """A[rows[b, k], cols[b, l]] += blocks[b, k, l], summing repeats; with
+    cols None, A is a vector and A[rows[b, k]] += blocks[b, k].
 
     Index -1 marks a constrained endpoint dof: its rows and columns of
     blocks are zeroed in place and land on index 0 as zeros, which leaves
@@ -117,9 +112,10 @@ def _scatter(A, rows, cols, blocks):
     times faster than a (row, column) index pair.
     """
     blocks[rows < 0] = 0.0
-    blocks.swapaxes(1, 2)[cols < 0] = 0.0
-    flat = (np.maximum(rows, 0)[:, :, None] * A.shape[1]
-            + np.maximum(cols, 0)[:, None, :])
+    flat = np.maximum(rows, 0)
+    if cols is not None:
+        blocks.swapaxes(1, 2)[cols < 0] = 0.0
+        flat = flat[:, :, None] * A.shape[1] + np.maximum(cols, 0)[:, None, :]
     np.add.at(A.reshape(-1), flat.ravel(), blocks.ravel())
 
 
@@ -214,44 +210,43 @@ def _disjoint_blocks(A, els, s, quad_offset):
         _scatter(A, gx[None], gx[None], 2.0 * own[None])
 
 
-def _interior_complement_blocks(A, els, s, quad_offset, domain, c):
-    """c * int_T phi_k phi_l kappa on every element but the two boundary
-    ones, batched per degree."""
-    inner = np.arange(1, len(els.h) - 1)
+def _complement_blocks(els, s, quad_offset):
+    """Blocks of int_T phi_k phi_l kappa, as (elements, blocks) batches:
+    the interior elements per degree, then each boundary element.
+
+    On a boundary element the term of kappa from the near endpoint is
+    integrated in reference coordinates: the distance to the endpoint is
+    h t (h (1 - t) on the right), the first-order zero of the active shapes
+    is factored out and t^(2-2s) is absorbed into a Gauss-Jacobi weight.
+    """
+    a, b = els.lo[0], els.hi[-1]
+    two_s = 2.0 * s
+    last = len(els.h) - 1
+    inner = np.arange(1, last)
+    batches = []
     for p in np.unique(els.degrees[inner]).tolist():
         es = inner[els.degrees[inner] == p]
         n = p + quad_offset
         t, w = _rule01(n)
         x = els.lo[es, None] + els.h[es, None] * t
-        weights = w * els.h[es, None] * complement_weight(domain, s, x)
+        weights = w * els.h[es, None] * complement_weight((a, b), s, x)
         vals = _gauss_shapes(p, n)
-        g = els.dofs(es)
-        _scatter(A, g, g, c * ((vals * weights[:, None, :]) @ vals.T))
-
-
-def _boundary_complement_block(mesh, dofmap, e, s, n):
-    """Local matrix of int_T phi_k phi_l kappa over boundary element e.
-
-    The active shapes vanish at the domain endpoint; that zero is factored
-    and (dist)^(2-2s) absorbed into a Jacobi weight.
-    """
-    lo, hi = mesh.element(e + 1)
-    h = hi - lo
-    g = dofmap.elem_dofs[e]
-    keep = g >= 0
-    two_s = 2.0 * s
-    endpoint, far_end = (mesh.a, mesh.b) if e == 0 else (mesh.b, mesh.a)
-    exp0 = (2.0 - two_s, 0.0) if e == 0 else (0.0, 2.0 - two_s)
-    tj, wj = _jacobi01(n, *exp0)
-    xj = lo + h * tj
-    ratios = _mapped_shapes(dofmap, e, xj)[keep] / np.abs(xj - endpoint)
-    local = (ratios * (wj * h ** (3.0 - two_s) / two_s)) @ ratios.T
-    tg, wg = _rule01(n)
-    xg = lo + h * tg
-    kappa_far = np.abs(far_end - xg) ** (-two_s) / two_s
-    vals = _mapped_shapes(dofmap, e, xg)[keep]
-    local += (vals * (wg * h * kappa_far)) @ vals.T
-    return g[keep], local
+        batches.append((es, (vals * weights[:, None, :]) @ vals.T))
+    for e, near_exps in ((0, (2.0 - two_s, 0.0)), (last, (0.0, 2.0 - two_s))):
+        p = int(els.degrees[e])
+        n = p + quad_offset
+        h = els.h[e]
+        t, w = _rule01(n)
+        x = els.lo[e] + h * t
+        far = b - x if e == 0 else x - a
+        vals = _gauss_shapes(p, n)
+        block = (vals * (w * h * (far ** (-two_s) / two_s))) @ vals.T
+        tj, wj = _jacobi01(n, *near_exps)
+        ratios = _shape_matrix(p, 2.0 * tj - 1.0)
+        ratios /= tj if e == 0 else 1.0 - tj
+        block += (ratios * (wj * h ** (1.0 - two_s) / two_s)) @ ratios.T
+        batches.append(([e], block[None]))
+    return batches
 
 
 class _Elements:
@@ -290,11 +285,9 @@ def assemble(mesh, dofmap, s, quad_offset=6):
 
     c = kernel_constant(s)
     A *= 0.5 * c
-    _interior_complement_blocks(A, els, s, quad_offset, mesh.domain, c)
-    for e in (0, mesh.n_elements - 1):
-        n = int(dofmap.degrees[e]) + quad_offset
-        gs, local = _boundary_complement_block(mesh, dofmap, e, s, n)
-        A[np.ix_(gs, gs)] += c * local
+    for es, blocks in _complement_blocks(els, s, quad_offset):
+        g = els.dofs(es)
+        _scatter(A, g, g, c * blocks)
 
     A = np.tril(A) + np.tril(A, -1).T  # mirror the lower triangle
     if not np.all(np.isfinite(A)):
@@ -305,19 +298,23 @@ def assemble(mesh, dofmap, s, quad_offset=6):
 
 
 def assemble_load(f, mesh, dofmap, quad_offset=6):
-    """Load vector b_k = int_Omega f phi_k, per-element Gauss-Legendre."""
+    """Load vector b_k = int_Omega f phi_k, per-element Gauss-Legendre.
+
+    f is called once per degree on a 1-D array of points.
+    """
+    els = _Elements(mesh, dofmap)
     b = np.zeros(dofmap.n_dofs)
-    for e in range(mesh.n_elements):
-        lo, hi = mesh.element(e + 1)
-        h = hi - lo
-        t, w = _rule01(int(dofmap.degrees[e]) + quad_offset)
-        x = lo + h * t
-        fx = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
-        if not np.all(np.isfinite(fx)):
+    for p in np.unique(els.degrees).tolist():
+        es = np.flatnonzero(els.degrees == p)
+        n = p + quad_offset
+        t, w = _rule01(n)
+        x = els.lo[es, None] + els.h[es, None] * t
+        fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), (x.size,))
+        fx = fx.reshape(x.shape)
+        bad = ~np.isfinite(fx).all(axis=1)
+        if bad.any():
             raise ValueError(f"load function returned non-finite values on "
-                             f"element {e + 1}")
-        g = dofmap.elem_dofs[e]
-        keep = g >= 0
-        vals = _mapped_shapes(dofmap, e, x)[keep]
-        b[g[keep]] += vals @ (w * h * fx)
+                             f"element {es[bad][0] + 1}")
+        local = (w * els.h[es, None] * fx) @ _gauss_shapes(p, n).T
+        _scatter(b, els.dofs(es), None, local)
     return b

@@ -81,6 +81,9 @@ def _validate(args):
         raise _Invalid("--sigma", f"{args.sigma} not in (0, 1)")
     if hasattr(args, "levels") and args.levels < 0:
         raise _Invalid("--levels", f"{args.levels} is negative")
+    if args.subcommand != "mesh" and args.levels < 1:
+        raise _Invalid("--levels",
+                       f"{args.subcommand} needs at least one layer")
     for s in getattr(args, "s", []):
         if not 0.0 < s < 1.0:
             raise _Invalid("--s", f"{s} not in (0, 1)")
@@ -95,8 +98,6 @@ def _write(text, path):
 
 
 def _cmd_convergence(args):
-    if args.levels < 1:
-        raise _Invalid("--levels", "the study needs at least one layer")
     records = postproc.convergence_study(
         args.s, args.sigma, args.levels, args.rule,
         quad_offset=args.quad_offset)
@@ -113,8 +114,6 @@ def _cmd_convergence(args):
 def _cmd_solve(args):
     if len(args.s) != 1:
         raise _Invalid("--s", "solve expects a single fractional order")
-    if args.levels < 1:
-        raise _Invalid("--levels", "solve needs at least one layer")
     record, system = postproc.solve_record(
         args.s[0], args.sigma, args.levels, args.rule,
         quad_offset=args.quad_offset)
@@ -127,8 +126,6 @@ def _cmd_solve(args):
 
 
 def _cmd_interp_study(args):
-    if args.levels < 1:
-        raise _Invalid("--levels", "the study needs at least one layer")
     lines = [INTERP_HEADER]
     for s in args.s:
         for p, L, sigma, s_val, err in approx.interpolation_error_study(
@@ -169,9 +166,6 @@ def run(argv=None):
     try:
         _validate(args)
         return _COMMANDS[args.subcommand](args)
-    except _Invalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

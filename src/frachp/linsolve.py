@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +15,6 @@ log = logging.getLogger(__name__)
 
 class NotSPDError(RuntimeError):
     """Raised when a non-positive pivot is met during factorization."""
-
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
 
 
 @dataclass(frozen=True)
@@ -45,10 +40,7 @@ def cholesky_solve(system):
     try:
         factor = linalg.cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
-        match = re.search(r"(\d+)", str(exc))
-        pivot = int(match.group(1)) if match else None
-        raise NotSPDError(f"matrix is not positive definite: {exc}",
-                          pivot=pivot) from exc
+        raise NotSPDError(f"matrix is not positive definite: {exc}") from exc
     c = linalg.cho_solve(factor, b)
     b_norm = np.linalg.norm(b)
     for _ in range(2):

@@ -32,13 +32,12 @@ functions once per pair class and degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
-__all__ = ["PairClass", "classify_pair", "pair_quadrature"]
+__all__ = ["pair_quadrature"]
 
 
 @lru_cache(maxsize=None)
@@ -66,32 +65,6 @@ def _jacobi01(n, exp0, exp1):
     t.flags.writeable = False
     wt.flags.writeable = False
     return t, wt
-
-
-@dataclass(frozen=True)
-class PairClass:
-    """Classification of an ordered element pair by closure intersection.
-
-    kind is one of 'identical', 'adjacent', 'disjoint'.  For adjacent pairs
-    shared_side records on which side of the first element the shared
-    vertex sits ('right' when the second element follows the first).
-    """
-
-    kind: str
-    shared_side: str | None = None
-
-
-def classify_pair(mesh, i, j):
-    """Classify elements i, j (1-based) of a mesh as a pair."""
-    ne = mesh.n_elements
-    for idx in (i, j):
-        if not 1 <= idx <= ne:
-            raise ValueError(f"element index {idx} out of range 1..{ne}")
-    if i == j:
-        return PairClass("identical")
-    if abs(i - j) == 1:
-        return PairClass("adjacent", "right" if j == i + 1 else "left")
-    return PairClass("disjoint")
 
 
 def _check_s(s):
@@ -153,15 +126,18 @@ def _disjoint_n(n, hx, hz, gap):
     return n + extra.astype(int)
 
 
-def pair_quadrature(pair, s, n, elements):
+def pair_quadrature(s, n, elements):
     """Quadrature for iint g(x, z) |x-z|^(1-2s) dz dx over an element pair.
 
     Parameters
     ----------
-    pair : PairClass for (T1, T2)
     s : fractional order in (0, 1)
     n : points per direction
     elements : ((a1, b1), (a2, b2)), the two element intervals
+
+    The pair class is read off the intervals: equal intervals are an
+    identical pair, a shared endpoint makes an adjacent pair and a positive
+    gap a disjoint one; overlapping intervals raise ValueError.
 
     Returns (x, z, w): nodes strictly inside T1 x T2 and positive weights
     with the kernel factor absorbed, so sum(w * g(x, z)) approximates the
@@ -173,37 +149,25 @@ def pair_quadrature(pair, s, n, elements):
     _check_s(s)
     if n < 1:
         raise ValueError(f"point count must be >= 1, got {n}")
-    if pair.kind == "identical":
-        if elements[0] != elements[1]:
-            raise ValueError("identical pair requires equal elements")
-        a, b = elements[0]
-        h = b - a
-        tx, tz, w = _identical_scheme(s, n)
-        return a + h * tx, a + h * tz, h ** (3.0 - 2.0 * s) * w
     (a1, b1), (a2, b2) = elements
     hx, hz = b1 - a1, b2 - a2
-    if pair.kind == "adjacent":
-        if b1 == a2:
-            v, sx, sz = b1, -1.0, 1.0
-        elif a1 == b2:
-            v, sx, sz = a1, 1.0, -1.0
-        else:
-            raise ValueError(f"elements ({a1},{b1}) and ({a2},{b2}) share "
-                             f"no vertex")
+    gap = max(a2 - b1, a1 - b2)
+    if (a1, b1) == (a2, b2):
+        tx, tz, w = _identical_scheme(s, n)
+        return a1 + hx * tx, a1 + hx * tz, hx ** (3.0 - 2.0 * s) * w
+    if gap == 0:
+        v, sx, sz = (b1, -1.0, 1.0) if b1 == a2 else (a1, 1.0, -1.0)
         rho_x, rho_z, xi, wq, tu, wu = _adjacent_scheme(s, n)
         ell = _adjacent_lengths(tu, hx, hz)
         w = (hx * hz * wq[None, :, None]
              * (wu * ell ** (1.0 - 2.0 * s))[:, None, :])
         return ((v + sx * hx * rho_x).ravel(), (v + sz * hz * rho_z).ravel(),
                 w.ravel())
-    if pair.kind == "disjoint":
-        gap = max(a2 - b1, a1 - b2)
-        if gap <= 0:
-            raise ValueError("disjoint scheme requires separated elements")
-        t, wt = _rule01(int(_disjoint_n(n, hx, hz, gap)))
-        x = (a1 + hx * t)[:, None]
-        z = (a2 + hz * t)[None, :]
-        w = hx * hz * np.outer(wt, wt) * np.abs(x - z) ** (1.0 - 2.0 * s)
-        return (np.broadcast_to(x, w.shape).ravel(),
-                np.broadcast_to(z, w.shape).ravel(), w.ravel())
-    raise ValueError(f"unknown pair kind {pair.kind!r}")
+    if gap < 0:
+        raise ValueError(f"elements ({a1},{b1}) and ({a2},{b2}) overlap")
+    t, wt = _rule01(int(_disjoint_n(n, hx, hz, gap)))
+    x = (a1 + hx * t)[:, None]
+    z = (a2 + hz * t)[None, :]
+    w = hx * hz * np.outer(wt, wt) * np.abs(x - z) ** (1.0 - 2.0 * s)
+    return (np.broadcast_to(x, w.shape).ravel(),
+            np.broadcast_to(z, w.shape).ravel(), w.ravel())

@@ -5,10 +5,10 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from frachp import (DegreeRule, PairClass, assemble, assemble_load,
-                    build_dof_map, build_geometric_mesh, cholesky_solve,
-                    complement_weight, kernel_constant, pair_quadrature)
-from frachp.assembly import _boundary_complement_block
+from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
+                    build_geometric_mesh, cholesky_solve, complement_weight,
+                    kernel_constant, pair_quadrature)
+from frachp.assembly import _complement_blocks, _Elements
 from frachp.basis import _shape_matrix
 from frachp.quadrature import _rule01
 from oracles import oracle_stiffness
@@ -111,7 +111,7 @@ def test_serial_assembly_deterministic():
 def per_pair_stiffness(mesh, dm, s, quad_offset):
     """Stiffness from a loop over element pairs i <= j, each through
     pair_quadrature with its divided differences merged per global dof,
-    plus the complement term element by element.  Constrained dofs land in
+    plus the complement blocks of the assembly.  Constrained dofs land in
     a spare row and column N.  Identical pairs are integrated on (0, 1) and
     scaled by h^(1-2s): at the physical points of the smallest elements the
     divided differences lose up to 4e-13 of the block maximum at s = 0.98
@@ -125,9 +125,7 @@ def per_pair_stiffness(mesh, dm, s, quad_offset):
         if i == j:
             h = pair[0][1] - pair[0][0]
             pair, scale = ((0.0, 1.0), (0.0, 1.0)), h ** (1.0 - 2.0 * s)
-        kind = ("identical", "adjacent", "disjoint")[min(j - i, 2)]
-        x, z, w = pair_quadrature(PairClass(kind, "right"), s,
-                                  max(p[i], p[j]) + quad_offset, pair)
+        x, z, w = pair_quadrature(s, max(p[i], p[j]) + quad_offset, pair)
         (a1, b1), (a2, b2) = pair
         shapes = np.concatenate((
             _shape_matrix(p[i], 2.0 * (x - a1) / (b1 - a1) - 1.0),
@@ -140,17 +138,9 @@ def per_pair_stiffness(mesh, dm, s, quad_offset):
         A[np.ix_(g, g)] += scale * (rows * w) @ rows.T
     c = kernel_constant(s)
     A *= 0.5 * c
-    for e in range(ne):
-        n = p[e] + quad_offset
-        if e in (0, ne - 1):
-            g, local = _boundary_complement_block(mesh, dm, e, s, n)
-        else:
-            (lo, hi), (t, wt) = mesh.elements[e], _rule01(n)
-            x = lo + (hi - lo) * t
-            vals = _shape_matrix(p[e], 2.0 * (x - lo) / (hi - lo) - 1.0)
-            kappa = complement_weight(mesh.domain, s, x)
-            g, local = dofs[e], (vals * (wt * (hi - lo) * kappa)) @ vals.T
-        A[np.ix_(g, g)] += c * local
+    for es, blocks in _complement_blocks(_Elements(mesh, dm), s, quad_offset):
+        for e, local in zip(es, blocks):
+            A[np.ix_(dofs[e], dofs[e])] += c * local
     A = A[:N, :N]
     return np.tril(A) + np.tril(A, -1).T
 
@@ -242,6 +232,53 @@ def test_load_rejects_non_finite_f():
     dm = build_dof_map(mesh, DegreeRule.uniform(1))
     with pytest.raises(ValueError):
         assemble_load(lambda x: np.full_like(x, np.nan), mesh, dm)
+    # only the last element, (0.4, 1), holds points with x > 0.9
+    with pytest.raises(ValueError, match=f"element {mesh.n_elements}$"):
+        assemble_load(lambda x: np.where(x > 0.9, np.nan, 1.0), mesh, dm)
+
+
+def per_element_load(f, mesh, dm, quad_offset=6):
+    """Load vector from a loop over elements at physical Gauss points."""
+    b = np.zeros(dm.n_dofs)
+    for e, (lo, hi) in enumerate(mesh.elements):
+        p = int(dm.degrees[e])
+        t, w = _rule01(p + quad_offset)
+        x = lo + (hi - lo) * t
+        g = dm.elem_dofs[e]
+        keep = g >= 0
+        vals = _shape_matrix(p, 2.0 * (x - lo) / (hi - lo) - 1.0)[keep]
+        b[g[keep]] += vals @ (w * (hi - lo) * f(x))
+    return b
+
+
+@pytest.mark.parametrize("kind", ["uniform", "reduced"])
+@pytest.mark.parametrize("L", [0, 1, 6])
+def test_batched_load_matches_per_element(kind, L):
+    f = lambda x: np.cos(3.0 * x) + x
+    mesh = build_geometric_mesh((-1, 1), 0.6, L)
+    dm = build_dof_map(mesh, DegreeRule(kind, L + 2))
+    b = assemble_load(f, mesh, dm)
+    ref = per_element_load(f, mesh, dm)
+    assert np.abs(b - ref).max() <= 1e-14 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7, 0.98])
+def test_boundary_complement_blocks_converged_at_deep_L(s):
+    # on the active shapes of a boundary element the shape/distance ratio
+    # is a polynomial of degree p - 1, so the Jacobi rule is exact for any
+    # quad_offset; the blocks then differ only by rounding, although the
+    # boundary elements have length sigma^24 ~ 5e-6
+    mesh = build_geometric_mesh((-1, 1), 0.6, 24)
+    els = _Elements(mesh, build_dof_map(mesh, DegreeRule.uniform(24)))
+    ends = (0, mesh.n_elements - 1)
+    blocks = [{es[0]: b[0] for es, b in _complement_blocks(els, s, offset)
+               if es[0] in ends} for offset in (6, 30)]
+    for e in ends:
+        keep = els.dofs([e])[0] >= 0
+        active = np.ix_(keep, keep)
+        ref = blocks[1][e][active]
+        diff = blocks[0][e][active] - ref
+        assert np.abs(diff).max() <= 1e-11 * np.abs(ref).max()
 
 
 def test_galerkin_system_is_frozen():

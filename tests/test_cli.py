@@ -120,3 +120,11 @@ def test_removed_flags_exit_2(capsys):
     assert run(["interp-study", "--quad-offset", "3"]) == 2
     assert run(["interp-study", "--threads", "2"]) == 2
     assert run(["convergence", "--threads", "2"]) == 2
+
+
+def test_zero_levels_rejected_except_for_mesh(capsys):
+    for command in ("convergence", "solve", "interp-study"):
+        assert run([command, "--levels", "0"]) == 2
+        assert "--levels" in capsys.readouterr().err
+    assert run(["mesh", "--levels", "0"]) == 0
+    assert capsys.readouterr().out.split() == ["-1", "0", "1"]

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frachp import (PairClass, build_geometric_mesh, classify_pair,
-                    pair_quadrature)
+from frachp import pair_quadrature
 from frachp.quadrature import _jacobi01, _rule01
 from oracles import oracle_weighted_pair_integral
 
@@ -62,60 +61,45 @@ def test_gauss_jacobi_rejects_bad_exponents():
         _rule01(0)
 
 
-def test_classify_pair():
-    mesh = build_geometric_mesh((-1, 1), 0.5, 2)
-    assert classify_pair(mesh, 3, 3).kind == "identical"
-    assert classify_pair(mesh, 3, 4).kind == "adjacent"
-    assert classify_pair(mesh, 3, 4).shared_side == "right"
-    assert classify_pair(mesh, 4, 3).shared_side == "left"
-    assert classify_pair(mesh, 1, 5).kind == "disjoint"
-    with pytest.raises(ValueError):
-        classify_pair(mesh, 0, 3)
-    with pytest.raises(ValueError):
-        classify_pair(mesh, 1, 7)
-
-
 def test_identical_constant_s_half():
     # s = 1/2 makes the kernel weight |x-z|^0: the scheme integrates 1 to 1
-    x, z, w = pair_quadrature(PairClass("identical"), 0.5, 8,
-                              ((0.0, 1.0), (0.0, 1.0)))
+    x, z, w = pair_quadrature(0.5, 8, ((0.0, 1.0), (0.0, 1.0)))
     assert w.sum() == pytest.approx(1.0, rel=1e-13)
 
 
 def test_identical_constant_s_quarter_closed_form():
     # iint |x-z|^(1/2) over the unit square = 8/15
-    x, z, w = pair_quadrature(PairClass("identical"), 0.25, 8,
-                              ((0.0, 1.0), (0.0, 1.0)))
+    x, z, w = pair_quadrature(0.25, 8, ((0.0, 1.0), (0.0, 1.0)))
     assert w.sum() == pytest.approx(8.0 / 15.0, rel=1e-13)
 
 
 def test_disjoint_inverse_square_closed_form():
     # with s = 1/2 the absorbed kernel is 1; applying the rule to |x-z|^-2
     # over (0,1) x (2,3) gives ln(4/3) exactly in the limit
-    x, z, w = pair_quadrature(PairClass("disjoint"), 0.5, 12,
-                              ((0.0, 1.0), (2.0, 3.0)))
+    x, z, w = pair_quadrature(0.5, 12, ((0.0, 1.0), (2.0, 3.0)))
     val = np.sum(w * np.abs(x - z) ** -2.0)
     assert val == pytest.approx(math.log(4.0 / 3.0), abs=1e-10)
 
 
 PAIR_CASES = [
-    (PairClass("identical"), ((0.3, 1.1), (0.3, 1.1))),
-    (PairClass("adjacent", "right"), ((0.0, 0.4), (0.4, 1.0))),
-    (PairClass("adjacent", "right"), ((0.0, 0.006), (0.006, 0.016))),
-    (PairClass("adjacent", "left"), ((0.4, 1.0), (0.0, 0.4))),
-    (PairClass("disjoint"), ((0.0, 1.0), (1.24, 2.2))),  # near-singular
-    (PairClass("disjoint"), ((0.0, 1.0), (3.0, 4.0))),
+    ((0.3, 1.1), (0.3, 1.1)),  # identical
+    ((0.0, 0.4), (0.4, 1.0)),  # adjacent, shared vertex right of T1
+    ((0.0, 0.006), (0.006, 0.016)),
+    ((0.4, 1.0), (0.0, 0.4)),  # adjacent, shared vertex left of T1
+    ((0.0, 1.0), (1.24, 2.2)),  # disjoint, near-singular
+    ((0.0, 1.0), (3.0, 4.0)),  # disjoint
 ]
+PAIR_IDS = [f"pair{i}-elements{i}" for i in range(len(PAIR_CASES))]
 
 
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
-@pytest.mark.parametrize("pair,elements", PAIR_CASES)
-def test_pair_exactness_against_oracle(s, pair, elements):
+@pytest.mark.parametrize("elements", PAIR_CASES, ids=PAIR_IDS)
+def test_pair_exactness_against_oracle(s, elements):
     # random bivariate polynomials of total degree <= 2n-3 integrate to
     # <= 1e-10 relative against the independent adaptive oracle
     n = 8
     rng = np.random.default_rng(12345)
-    x, z, w = pair_quadrature(pair, s, n, elements)
+    x, z, w = pair_quadrature(s, n, elements)
     assert np.all(w > 0)
     for _ in range(2):
         deg = 2 * n - 3
@@ -135,32 +119,32 @@ def test_refinement_convergence(s):
     n0 = {0.3: 8, 0.5: 6, 0.7: 9}[s]
     g = lambda x, z: np.exp(x - 0.5 * z)
     cases = [
-        (PairClass("identical"), ((0.0, 1.0), (0.0, 1.0))),
-        (PairClass("adjacent", "right"), ((0.0, 0.4), (0.4, 1.0))),
-        (PairClass("disjoint"), ((0.0, 0.4), (0.6, 1.3))),
+        ((0.0, 1.0), (0.0, 1.0)),  # identical
+        ((0.0, 0.4), (0.4, 1.0)),  # adjacent
+        ((0.0, 0.4), (0.6, 1.3)),  # disjoint
     ]
-    for pair, elements in cases:
-        x, z, w = pair_quadrature(pair, s, n0, elements)
+    for elements in cases:
+        x, z, w = pair_quadrature(s, n0, elements)
         v1 = float(np.sum(w * g(x, z)))
-        x, z, w = pair_quadrature(pair, s, 2 * n0, elements)
+        x, z, w = pair_quadrature(s, 2 * n0, elements)
         v2 = float(np.sum(w * g(x, z)))
         assert abs(v2 - v1) < 1e-12 * max(1.0, abs(v2))
 
 
 def test_nodes_inside_elements():
-    for pair, elements in PAIR_CASES:
-        x, z, w = pair_quadrature(pair, 0.4, 6, elements)
+    for elements in PAIR_CASES:
+        x, z, w = pair_quadrature(0.4, 6, elements)
         (a1, b1), (a2, b2) = elements
         assert np.all((x > a1) & (x < b1))
         assert np.all((z > a2) & (z < b2))
 
 
 def test_pair_quadrature_rejects_bad_input():
-    ident = PairClass("identical")
     with pytest.raises(ValueError):
-        pair_quadrature(ident, 1.5, 4, ((0, 1), (0, 1)))
+        pair_quadrature(1.5, 4, ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
-        pair_quadrature(ident, 0.5, 0, ((0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        pair_quadrature(PairClass("adjacent", "right"), 0.5, 4,
-                        ((0, 1), (2, 3)))
+        pair_quadrature(0.5, 0, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="overlap"):
+        pair_quadrature(0.5, 4, ((0, 1), (0.5, 3)))
+    with pytest.raises(ValueError, match="overlap"):
+        pair_quadrature(0.5, 4, ((0, 2), (0.5, 1)))
