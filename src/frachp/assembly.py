@@ -212,40 +212,39 @@ def _disjoint_blocks(A, els, s, quad_offset):
 
 def _complement_blocks(els, s, quad_offset):
     """Blocks of int_T phi_k phi_l kappa, as (elements, blocks) batches:
-    the interior elements per degree, then each boundary element.
+    every element per degree, then the near-endpoint term of each boundary
+    element.
 
-    On a boundary element the term of kappa from the near endpoint is
-    integrated in reference coordinates: the distance to the endpoint is
-    h t (h (1 - t) on the right), the first-order zero of the active shapes
-    is factored out and t^(2-2s) is absorbed into a Gauss-Jacobi weight.
+    The distances to the endpoints are taken in reference coordinates,
+    (lo - a) + h t and (b - hi) + h (1 - t), so they keep their relative
+    accuracy on the small elements at the boundary.  The Gauss batch leaves
+    out the near-endpoint term of the two boundary elements; there the
+    first-order zero of the active shapes is factored out and t^(2-2s)
+    (or (1 - t)^(2-2s)) is absorbed into a Gauss-Jacobi weight.
     """
     a, b = els.lo[0], els.hi[-1]
     two_s = 2.0 * s
     last = len(els.h) - 1
-    inner = np.arange(1, last)
     batches = []
-    for p in np.unique(els.degrees[inner]).tolist():
-        es = inner[els.degrees[inner] == p]
+    for p in np.unique(els.degrees).tolist():
+        es = np.flatnonzero(els.degrees == p)
         n = p + quad_offset
         t, w = _rule01(n)
-        x = els.lo[es, None] + els.h[es, None] * t
-        weights = w * els.h[es, None] * complement_weight((a, b), s, x)
+        h = els.h[es, None]
+        left = ((els.lo[es, None] - a) + h * t) ** -two_s
+        right = ((b - els.hi[es, None]) + h * (1.0 - t)) ** -two_s
+        left[es == 0] = 0.0
+        right[es == last] = 0.0
+        weights = w * h * (left + right) / two_s
         vals = _gauss_shapes(p, n)
         batches.append((es, (vals * weights[:, None, :]) @ vals.T))
     for e, near_exps in ((0, (2.0 - two_s, 0.0)), (last, (0.0, 2.0 - two_s))):
         p = int(els.degrees[e])
-        n = p + quad_offset
-        h = els.h[e]
-        t, w = _rule01(n)
-        x = els.lo[e] + h * t
-        far = b - x if e == 0 else x - a
-        vals = _gauss_shapes(p, n)
-        block = (vals * (w * h * (far ** (-two_s) / two_s))) @ vals.T
-        tj, wj = _jacobi01(n, *near_exps)
+        tj, wj = _jacobi01(p + quad_offset, *near_exps)
         ratios = _shape_matrix(p, 2.0 * tj - 1.0)
         ratios /= tj if e == 0 else 1.0 - tj
-        block += (ratios * (wj * h ** (1.0 - two_s) / two_s)) @ ratios.T
-        batches.append(([e], block[None]))
+        weights = wj * els.h[e] ** (1.0 - two_s) / two_s
+        batches.append(([e], ((ratios * weights) @ ratios.T)[None]))
     return batches
 
 

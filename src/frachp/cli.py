@@ -84,6 +84,10 @@ def _validate(args):
     if args.subcommand != "mesh" and args.levels < 1:
         raise _Invalid("--levels",
                        f"{args.subcommand} needs at least one layer")
+    if getattr(args, "quad_offset", 0) < 0:
+        raise _Invalid("--quad-offset", f"{args.quad_offset} is negative")
+    if hasattr(args, "s") and not args.s:
+        raise _Invalid("--s", "no fractional order given")
     for s in getattr(args, "s", []):
         if not 0.0 < s < 1.0:
             raise _Invalid("--s", f"{s} not in (0, 1)")

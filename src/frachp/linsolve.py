@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
 __all__ = ["Solution", "NotSPDError", "cholesky_solve"]
-
-log = logging.getLogger(__name__)
 
 
 class NotSPDError(RuntimeError):
@@ -19,7 +16,12 @@ class NotSPDError(RuntimeError):
 
 @dataclass(frozen=True)
 class Solution:
-    """Coefficients c with A c = b, the residual norm, and c^T A c."""
+    """Coefficients c of A c = b, the residual norm ||b - A c||, and the
+    discrete energy 2 b^T c - c^T A c.
+
+    The energy equals c^T A c = b^T c at the exact solution and is
+    stationary there, so a solve error moves it only to second order.
+    """
 
     coeffs: np.ndarray
     residual_norm: float
@@ -27,11 +29,10 @@ class Solution:
 
 
 def cholesky_solve(system):
-    """Solve the system by Cholesky factorization with iterative refinement.
+    """Solve the system by one Cholesky factorization and one solve.
 
-    Two refinement steps keep the residual at the 1e-10*||b|| level even for
-    the ill-conditioned high-degree nodal bases.  A 1-norm condition estimate
-    is logged at DEBUG level.
+    The residual r = b - A c gives the energy 2 b^T c - c^T A c as
+    c^T b + c^T r, with no second matrix-vector product.
     """
     A = system.stiffness
     b = system.load
@@ -42,15 +43,6 @@ def cholesky_solve(system):
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"matrix is not positive definite: {exc}") from exc
     c = linalg.cho_solve(factor, b)
-    b_norm = np.linalg.norm(b)
-    for _ in range(2):
-        r = b - A @ c
-        if np.linalg.norm(r) <= 1e-14 * b_norm:
-            break
-        c = c + linalg.cho_solve(factor, r)
-    residual = float(np.linalg.norm(b - A @ c))
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("solved N=%d system, cond_1 ~ %.3e, residual %.3e",
-                  A.shape[0], np.linalg.cond(A, 1), residual)
-    energy = float(c @ (A @ c))
-    return Solution(coeffs=c, residual_norm=residual, energy=energy)
+    r = b - A @ c
+    return Solution(coeffs=c, residual_norm=float(np.linalg.norm(r)),
+                    energy=float(c @ b + c @ r))

@@ -271,8 +271,12 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
     mesh = build_geometric_mesh((-1, 1), 0.6, 24)
     els = _Elements(mesh, build_dof_map(mesh, DegreeRule.uniform(24)))
     ends = (0, mesh.n_elements - 1)
-    blocks = [{es[0]: b[0] for es, b in _complement_blocks(els, s, offset)
-               if es[0] in ends} for offset in (6, 30)]
+    blocks = [dict.fromkeys(ends, 0.0) for _ in range(2)]
+    for sums, offset in zip(blocks, (6, 30)):
+        for es, batch in _complement_blocks(els, s, offset):
+            for e, local in zip(es, batch):
+                if e in sums:
+                    sums[e] = sums[e] + local
     for e in ends:
         keep = els.dofs([e])[0] >= 0
         active = np.ix_(keep, keep)

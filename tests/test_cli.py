@@ -24,6 +24,12 @@ def test_validation_exit_code_names_flag(capsys):
     assert "--sigma" in capsys.readouterr().err
     assert run(["convergence", "--s", "1.9"]) == 2
     assert "--s" in capsys.readouterr().err
+    assert run(["convergence", "--s", ",", "--levels", "2"]) == 2
+    assert "--s" in capsys.readouterr().err
+    assert run(["convergence", "--quad-offset", "-3", "--levels", "2"]) == 2
+    assert "--quad-offset" in capsys.readouterr().err
+    assert run(["solve", "--quad-offset", "-1", "--levels", "2"]) == 2
+    assert "--quad-offset" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(capsys):

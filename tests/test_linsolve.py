@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from frachp import (DegreeRule, GalerkinSystem, NotSPDError, assemble,
                     assemble_load, build_dof_map, build_geometric_mesh,
-                    cholesky_solve, eval_fem_function)
+                    cholesky_solve, eval_fem_function, exact_energy,
+                    solve_problem)
 
 
 def make_system(A, b):
@@ -75,3 +77,21 @@ def test_discrete_energy_monotone_in_degree():
         energies.append(cholesky_solve(system).energy)
     diffs = np.diff(energies)
     assert np.all(diffs >= -1e-12)
+
+
+@pytest.mark.parametrize("s, L", [(0.02, 14), (0.5, 14), (0.86, 14),
+                                  (0.98, 14), (0.5, 24)])
+def test_one_shot_solve_residual_and_energy(s, L):
+    # reference energy b^T c, with c refined against residuals taken in
+    # long double on the same A and b
+    _, dm, system, sol = solve_problem(s, 0.6, L, DegreeRule.uniform(L))
+    A, b = system.stiffness, system.load
+    assert np.linalg.norm(b - A @ sol.coeffs) <= 1e-10 * np.linalg.norm(b)
+    factor = linalg.cho_factor(A, lower=True)
+    A_ld, b_ld = A.astype(np.longdouble), b.astype(np.longdouble)
+    c = sol.coeffs.astype(np.longdouble)
+    for _ in range(4):
+        c += linalg.cho_solve(factor, (b_ld - A_ld @ c).astype(float))
+    e_ld = float(b_ld @ c)
+    eps = np.finfo(float).eps
+    assert abs(sol.energy - e_ld) <= 2.0 * dm.n_dofs * eps * exact_energy(s)
