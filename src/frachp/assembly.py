@@ -27,12 +27,13 @@ i < j) with the schemes of the quadrature module, batched per pair class:
   batch holds at most one pair per element.
 
 Blocks are added with np.add.at, the rows and columns of constrained
-endpoint dofs dropped; the lower triangle is mirrored at the end.  The
-complement term and the load are batched per degree on the Gauss-Legendre
-shape tables of the disjoint pairs, with points in per-element reference
-coordinates.  On the two boundary elements the endpoint singularity of kappa
-is removed analytically by factoring the first-order zero of the basis
-functions, leaving a Gauss-Jacobi weight with exponent 2-2s.
+endpoint dofs dropped, into the lower triangle, mirrored once at the end.
+The complement term and the load are batched per degree on the
+Gauss-Legendre shape tables of the disjoint pairs, with points in
+per-element reference coordinates.  On the two boundary elements the
+endpoint singularity of kappa is removed analytically by factoring the
+first-order zero of the basis functions, leaving a Gauss-Jacobi weight with
+exponent 2-2s.
 """
 
 from __future__ import annotations
@@ -103,20 +104,16 @@ def _gauss_shapes(p, n):
 
 
 def _scatter(A, rows, cols, blocks):
-    """A[rows[b, k], cols[b, l]] += blocks[b, k, l], summing repeats; with
-    cols None, A is a vector and A[rows[b, k]] += blocks[b, k].
+    """A[rows[b, k], cols[b, l]] += blocks[b, k, l] where rows >= cols >= 0.
 
-    Index -1 marks a constrained endpoint dof: its rows and columns of
-    blocks are zeroed in place and land on index 0 as zeros, which leaves
-    A unchanged.  Flat indices into the contiguous A make np.add.at several
-    times faster than a (row, column) index pair.
+    The one mask keeps the lower triangle, which assemble mirrors once, and
+    drops the constrained endpoint dofs (index -1).  Flat indices into the
+    contiguous A make np.add.at several times faster than index pairs.
     """
-    blocks[rows < 0] = 0.0
-    flat = np.maximum(rows, 0)
-    if cols is not None:
-        blocks.swapaxes(1, 2)[cols < 0] = 0.0
-        flat = flat[:, :, None] * A.shape[1] + np.maximum(cols, 0)[:, None, :]
-    np.add.at(A.reshape(-1), flat.ravel(), blocks.ravel())
+    rows, cols = rows[:, :, None], cols[:, None, :]
+    keep = (rows >= cols) & (cols >= 0)
+    flat = rows * A.shape[1] + cols
+    np.add.at(A.reshape(-1), flat[keep], blocks[keep])
 
 
 def _identical_blocks(A, els, s, quad_offset):
@@ -288,7 +285,7 @@ def assemble(mesh, dofmap, s, quad_offset=6):
         g = els.dofs(es)
         _scatter(A, g, g, c * blocks)
 
-    A = np.tril(A) + np.tril(A, -1).T  # mirror the lower triangle
+    A += np.tril(A, -1).T  # mirror the lower triangle once
     if not np.all(np.isfinite(A)):
         raise RuntimeError("stiffness assembly produced non-finite entries")
     prov = (f"mesh=({mesh.a},{mesh.b}),sigma={mesh.sigma},L={mesh.layers};"
@@ -315,5 +312,6 @@ def assemble_load(f, mesh, dofmap, quad_offset=6):
             raise ValueError(f"load function returned non-finite values on "
                              f"element {es[bad][0] + 1}")
         local = (w * els.h[es, None] * fx) @ _gauss_shapes(p, n).T
-        _scatter(b, els.dofs(es), None, local)
+        g = els.dofs(es)
+        np.add.at(b, g[g >= 0], local[g >= 0])
     return b

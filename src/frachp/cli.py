@@ -27,7 +27,7 @@ class _Invalid(ValueError):
 
 
 def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok]
+    return [float(tok) for tok in text.split(",")]
 
 
 def _parser():
@@ -86,11 +86,18 @@ def _validate(args):
                        f"{args.subcommand} needs at least one layer")
     if getattr(args, "quad_offset", 0) < 0:
         raise _Invalid("--quad-offset", f"{args.quad_offset} is negative")
-    if hasattr(args, "s") and not args.s:
-        raise _Invalid("--s", "no fractional order given")
     for s in getattr(args, "s", []):
         if not 0.0 < s < 1.0:
             raise _Invalid("--s", f"{s} not in (0, 1)")
+        beta_p = 1.0 - s - getattr(args, "eps_prime", 0.0)
+        if not 0.0 < beta_p < 1.0:
+            raise _Invalid("--eps-prime", f"beta' = 1 - s - eps_prime = "
+                           f"{beta_p} not in (0, 1) at s={s}")
+    if args.subcommand == "solve" and len(args.s) != 1:
+        raise _Invalid("--s", "solve expects a single fractional order")
+    domain = getattr(args, "domain", (0.0, 1.0))
+    if len(domain) != 2 or not (np.isfinite(domain).all() and domain[0] < domain[1]):
+        raise _Invalid("--domain", f"{domain} is not two finite endpoints a < b")
 
 
 def _write(text, path):
@@ -116,8 +123,6 @@ def _cmd_convergence(args):
 
 
 def _cmd_solve(args):
-    if len(args.s) != 1:
-        raise _Invalid("--s", "solve expects a single fractional order")
     record, system = postproc.solve_record(
         args.s[0], args.sigma, args.levels, args.rule,
         quad_offset=args.quad_offset)
@@ -140,12 +145,7 @@ def _cmd_interp_study(args):
 
 
 def _cmd_mesh(args):
-    if len(args.domain) != 2:
-        raise _Invalid("--domain", "expected two endpoints a,b")
-    a, b = args.domain
-    if not a < b:
-        raise _Invalid("--domain", f"({a}, {b}) is empty or reversed")
-    mesh = build_geometric_mesh((a, b), args.sigma, args.levels)
+    mesh = build_geometric_mesh(args.domain, args.sigma, args.levels)
     _write("".join(f"{x:.17g}\n" for x in mesh.nodes), args.out)
     return 0
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -283,6 +284,20 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
         ref = blocks[1][e][active]
         diff = blocks[0][e][active] - ref
         assert np.abs(diff).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_assembly_peak_memory_one_mirror_temporary():
+    # the matrix, one N x N temporary for the mirror, and small batches
+    mesh = build_geometric_mesh((-1, 1), 0.6, 14)
+    dm = build_dof_map(mesh, DegreeRule.uniform(14))
+    assemble(mesh, dm, 0.5)  # warm the shape-table caches
+    tracemalloc.start()
+    try:
+        assemble(mesh, dm, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * dm.n_dofs ** 2
 
 
 def test_galerkin_system_is_frozen():

@@ -30,6 +30,12 @@ def test_validation_exit_code_names_flag(capsys):
     assert "--quad-offset" in capsys.readouterr().err
     assert run(["solve", "--quad-offset", "-1", "--levels", "2"]) == 2
     assert "--quad-offset" in capsys.readouterr().err
+    assert run(["interp-study", "--eps-prime", "0.9", "--s", "0.3"]) == 2
+    assert "--eps-prime" in capsys.readouterr().err
+    assert run(["mesh", "--domain=-inf,1"]) == 2
+    assert "--domain" in capsys.readouterr().err
+    assert run(["convergence", "--s", "0.3,,0.5", "--levels", "2"]) == 2
+    assert "--s" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(capsys):
