@@ -23,6 +23,5 @@ from .linsolve import NotSPDError, Solution, cholesky_solve
 from .postproc import (ConvergenceRecord, EnergyGapError, convergence_study,
                        energy_error, exact_energy, exact_solution,
                        records_to_csv, solve_problem)
-from .quadrature import pair_quadrature
 
 __version__ = "0.1.0"

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .basis import (DegreeRule, _element_eval, _shape_deriv_matrix,
-                    _shape_matrix, build_dof_map, gauss_lobatto_nodes)
+from .basis import (DegreeRule, _element_eval, _lobatto_eval, build_dof_map,
+                    gauss_lobatto_nodes)
 from .geomesh import build_geometric_mesh
 from .postproc import exact_solution, solution_constant
 from .quadrature import _jacobi01, _rule01
@@ -180,58 +180,37 @@ def endpoint_interpolation_check(v, dv, d2v, beta_prime, epsilon):
     return InterpolationBoundResult(lhs=lhs, rhs=rhs, ratio=ratio)
 
 
-@dataclass(frozen=True)
-class ElementInterpolant:
-    """Polynomial interpolant on one element, in nodal representation."""
-
-    element: tuple
-    degree: int
-    values: np.ndarray
-
-    def _local(self, x):
-        lo, hi = self.element
-        return 2.0 * (np.asarray(x, dtype=float) - lo) / (hi - lo) - 1.0
-
-    def __call__(self, x):
-        return (self.values @ _shape_matrix(self.degree, self._local(x)))[()]
-
-    def deriv(self, x):
-        lo, hi = self.element
-        vals = self.values @ _shape_deriv_matrix(self.degree, self._local(x))
-        return (vals * (2.0 / (hi - lo)))[()]
-
-
 def gauss_lobatto_interpolant(v, element, p):
-    """Degree-p interpolant of v at the mapped Gauss-Lobatto nodes."""
+    """Degree-p interpolant of v at the mapped Gauss-Lobatto nodes, as a
+    callable on arrays; v is called once per node."""
     lo, hi = float(element[0]), float(element[1])
     t = gauss_lobatto_nodes(p)
     x = lo + 0.5 * (hi - lo) * (t + 1.0)
     values = np.array([float(v(xi)) for xi in x])
-    return ElementInterpolant(element=(lo, hi), degree=int(p), values=values)
+    return partial(_lobatto_eval, values, lo, hi)
 
 
-def build_hp_interpolant(u, mesh, p):
-    """Nodal coefficients of the hp interpolant: linear on the two boundary
-    elements, degree-p Gauss-Lobatto interpolation elsewhere.
+def build_hp_interpolant(u, dofmap):
+    """Nodal coefficients of the interpolant of u on dofmap: degree-p
+    Gauss-Lobatto interpolation on each element of degree p.  On a
+    reduced-rule map this is the hp interpolant, linear on the two boundary
+    elements.
 
-    Returns the coefficient vector for the reduced-rule dof map of degree p;
-    global continuity holds because shared vertices receive shared values.
+    u is called once per element on that element's nodes; global continuity
+    holds because shared vertices receive shared values.
     """
+    mesh = dofmap.mesh
     tol = 1e-10 * max(1.0, abs(float(u(0.5 * (mesh.a + mesh.b)))))
     if abs(float(u(mesh.a))) > tol or abs(float(u(mesh.b))) > tol:
         raise ValueError("interpolated function must vanish at the domain "
                          "endpoints")
-    dofmap = build_dof_map(mesh, DegreeRule.reduced(p))
     coeffs = np.zeros(dofmap.n_dofs)
     for e in range(mesh.n_elements):
         lo, hi = mesh.element(e + 1)
-        pe = int(dofmap.degrees[e])
-        t = gauss_lobatto_nodes(pe)
+        t = gauss_lobatto_nodes(int(dofmap.degrees[e]))
         x = lo + 0.5 * (hi - lo) * (t + 1.0)
         g = dofmap.elem_dofs[e]
-        for k in range(pe + 1):
-            if g[k] >= 0:
-                coeffs[g[k]] = float(u(x[k]))
+        coeffs[g[g >= 0]] = np.asarray(u(x), dtype=float)[g >= 0]
     return coeffs
 
 
@@ -342,8 +321,8 @@ def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
         x = np.asarray(x, dtype=float)
         return -2.0 * s * c * x * (1.0 - x * x) ** (s - 1.0)
 
-    coeffs = build_hp_interpolant(u, mesh, L)
     dofmap = build_dof_map(mesh, DegreeRule.reduced(L))
+    coeffs = build_hp_interpolant(u, dofmap)
     total = 0.0
     for e in range(mesh.n_elements):
         if e == 0 or e == mesh.n_elements - 1:

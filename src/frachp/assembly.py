@@ -136,7 +136,7 @@ def _adjacent_table(s, n, pi, pj):
     (t, u) holds sum_q wq/xi^2 r_k r_l over the radial points of triangle t
     at angular point u, r being the divided-difference rows with the shared
     vertex merged; shape (2n, m*m), m = pi + pj + 1."""
-    rho_x, rho_z, xi, wq, _, _ = _adjacent_scheme(s, n)
+    rho_x, rho_z, xi, wq = _adjacent_scheme(s, n)
     # points ordered (t, u, q): each (k, q) slice below is a strided matrix
     rho_x, rho_z = rho_x.transpose(0, 2, 1), rho_z.transpose(0, 2, 1)
     m = pi + pj + 1
@@ -249,16 +249,23 @@ class _Elements:
     """Element bounds, lengths, degrees and dof tables of a mesh."""
 
     def __init__(self, mesh, dofmap):
+        if dofmap.mesh is not mesh and not np.array_equal(dofmap.mesh.nodes,
+                                                          mesh.nodes):
+            raise ValueError("dofmap was built for a different mesh")
         self.lo = mesh.nodes[:-1]
         self.hi = mesh.nodes[1:]
         self.h = self.hi - self.lo
         self.degrees = np.asarray(dofmap.degrees)
-        self._tables = dofmap.elem_dofs
+        # one row per element, padded with -1 past its degree
+        self._table = np.full((len(self.h), self.degrees.max() + 1), -1)
+        for e, g in enumerate(dofmap.elem_dofs):
+            self._table[e, :len(g)] = g
 
     def dofs(self, es):
         """Stacked dof tables (-1 for a constrained dof) of elements es,
         which share one degree."""
-        return np.stack([self._tables[e] for e in es])
+        es = np.asarray(es)
+        return self._table[es, :self.degrees[es[0]] + 1]
 
 
 def assemble(mesh, dofmap, s, quad_offset=6):
@@ -269,8 +276,6 @@ def assemble(mesh, dofmap, s, quad_offset=6):
     dataclasses.replace(system, load=...).
     """
     _check_s(s)
-    if dofmap.mesh is not mesh and not np.array_equal(dofmap.mesh.nodes, mesh.nodes):
-        raise ValueError("dofmap was built for a different mesh")
     s = float(s)
     N = dofmap.n_dofs
     els = _Elements(mesh, dofmap)

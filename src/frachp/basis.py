@@ -209,23 +209,26 @@ def build_dof_map(mesh, rule):
                   elem_dofs=tuple(tables))
 
 
-def _local_coords(mesh, e, x):
-    lo, hi = mesh.element(e + 1)
-    return 2.0 * (np.asarray(x, dtype=float) - lo) / (hi - lo) - 1.0
+def _lobatto_eval(values, lo, hi, x, derivative=False):
+    """The polynomial on (lo, hi) with nodal values `values` at the degree
+    len(values) - 1 Gauss-Lobatto points mapped there, or its derivative,
+    at x (a scalar gives a scalar)."""
+    x = np.asarray(x, dtype=float)
+    p = len(values) - 1
+    t = 2.0 * (x - lo) / (hi - lo) - 1.0
+    vals = values @ (_shape_deriv_matrix(p, t) if derivative
+                     else _shape_matrix(p, t))
+    if derivative:
+        vals *= 2.0 / (hi - lo)
+    return vals.reshape(x.shape)[()]
 
 
 def _element_eval(dofmap, coeffs, e, x, derivative=False):
     """Evaluate the FEM function (or derivative) at points x inside element e."""
-    p = int(dofmap.degrees[e])
-    t = np.atleast_1d(_local_coords(dofmap.mesh, e, x))
-    S = _shape_deriv_matrix(p, t) if derivative else _shape_matrix(p, t)
     g = dofmap.elem_dofs[e]
-    active = g >= 0
-    vals = coeffs[g[active]] @ S[active]
-    if derivative:
-        lo, hi = dofmap.mesh.element(e + 1)
-        vals *= 2.0 / (hi - lo)
-    return vals
+    lo, hi = dofmap.mesh.element(e + 1)
+    return _lobatto_eval(np.where(g >= 0, coeffs[g], 0.0), lo, hi, x,
+                         derivative)
 
 
 def _eval(dofmap, coeffs, x, derivative):
@@ -233,13 +236,13 @@ def _eval(dofmap, coeffs, x, derivative):
     if coeffs.shape != (dofmap.n_dofs,):
         raise ValueError(f"coefficient vector must have length {dofmap.n_dofs}, "
                          f"got shape {coeffs.shape}")
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
+    es = element_of(dofmap.mesh, xs) - 1
     out = np.empty_like(xs)
-    for idx, xi in enumerate(xs):
-        e = element_of(dofmap.mesh, xi) - 1
-        out[idx] = _element_eval(dofmap, coeffs, e, xi, derivative)[0]
-    return float(out[0]) if scalar else out
+    for e in np.unique(es).tolist():
+        at = es == e
+        out[at] = _element_eval(dofmap, coeffs, e, xs[at], derivative)
+    return out[()]
 
 
 def eval_fem_function(dofmap, coeffs, x):

@@ -116,13 +116,17 @@ def build_geometric_mesh(domain, sigma, layers):
 
 
 def element_of(mesh, x):
-    """Index i (1-based) of the element with x in [x_{i-1}, x_i).
+    """Index i (1-based) of the element with x in [x_{i-1}, x_i), for a point
+    or elementwise for an array of points.
 
     Ties at shared nodes resolve to the right element; x = b returns the
-    rightmost element.
+    rightmost element.  A point outside [a, b], or NaN, raises ValueError.
     """
-    x = float(x)
-    if not mesh.a <= x <= mesh.b:
-        raise ValueError(f"point {x} outside domain [{mesh.a}, {mesh.b}]")
-    i = int(np.searchsorted(mesh.nodes, x, side="right"))
-    return min(i, mesh.n_elements)
+    x = np.asarray(x, dtype=float)
+    outside = ~((mesh.a <= x) & (x <= mesh.b))
+    if outside.any():
+        raise ValueError(f"point {x[outside].flat[0]} outside domain "
+                         f"[{mesh.a}, {mesh.b}]")
+    i = np.minimum(np.searchsorted(mesh.nodes, x, side="right"),
+                   mesh.n_elements)
+    return int(i) if i.ndim == 0 else i

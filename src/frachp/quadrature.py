@@ -25,9 +25,8 @@ weights:
 The identical and adjacent schemes are defined in per-element reference
 coordinates and the disjoint points are Gauss-Legendre points of each
 element, so the points seen by an element's shape functions never depend on
-the element lengths; only the weights do.  pair_quadrature maps a scheme to
-one physical pair; the assembly uses the same schemes to tabulate shape
-functions once per pair class and degree.
+the element lengths; only the weights do.  The assembly tabulates shape
+functions on these schemes once per pair class and degree.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-__all__ = ["pair_quadrature"]
+__all__ = []
 
 
 @lru_cache(maxsize=None)
@@ -94,13 +93,14 @@ def _adjacent_scheme(s, n):
 
     Points are distances from the shared vertex normalised per element,
     rho_x = |x - v| / h_x and rho_z = |z - v| / h_z, so they do not depend
-    on the element lengths.  Returns (rho_x, rho_z, xi, wq, tu, wu):
+    on the element lengths.  Returns (rho_x, rho_z, xi, wq):
     rho_x, rho_z have shape (2, n, n), indexed (triangle, xi, tau); on
     triangle 0 (rho_z <= rho_x) rho_x = xi and rho_z = xi * tau, on
     triangle 1 the roles swap.  For lengths h_x, h_z the distance is
-    |x - z| = xi * ell with ell = _adjacent_lengths(tu, h_x, h_z), and the
-    weight with |x - z|^(1-2s) absorbed is h_x h_z wq wu ell^(1-2s), the
-    Jacobi weight in xi carrying xi^(1-2s) and the Duffy Jacobian xi.
+    |x - z| = xi * ell with ell = _adjacent_lengths(tu, h_x, h_z) on the
+    angular rule (tu, wu) = _rule01(n), and the weight with |x - z|^(1-2s)
+    absorbed is h_x h_z wq wu ell^(1-2s), the Jacobi weight in xi carrying
+    xi^(1-2s) and the Duffy Jacobian xi.
     """
     xi, wq = _jacobi01(n, 2.0 - 2.0 * s, 0.0)
     tu, wu = _rule01(n)
@@ -108,7 +108,7 @@ def _adjacent_scheme(s, n):
     angular = xi[:, None] * tu[None, :]
     rho_x = np.stack((radial, angular))
     rho_z = np.stack((angular, radial))
-    return rho_x, rho_z, xi, wq, tu, wu
+    return rho_x, rho_z, xi, wq
 
 
 def _adjacent_lengths(tu, hx, hz):
@@ -124,50 +124,3 @@ def _disjoint_n(n, hx, hz, gap):
     size = np.maximum(hx, hz)
     extra = np.where(gap < size, np.ceil(np.log2(size / gap)), 0.0)
     return n + extra.astype(int)
-
-
-def pair_quadrature(s, n, elements):
-    """Quadrature for iint g(x, z) |x-z|^(1-2s) dz dx over an element pair.
-
-    Parameters
-    ----------
-    s : fractional order in (0, 1)
-    n : points per direction
-    elements : ((a1, b1), (a2, b2)), the two element intervals
-
-    The pair class is read off the intervals: equal intervals are an
-    identical pair, a shared endpoint makes an adjacent pair and a positive
-    gap a disjoint one; overlapping intervals raise ValueError.
-
-    Returns (x, z, w): nodes strictly inside T1 x T2 and positive weights
-    with the kernel factor absorbed, so sum(w * g(x, z)) approximates the
-    integral and is exact (up to the Jacobi-rule degree) for bivariate
-    polynomial g.
-    """
-    s = float(s)
-    n = int(n)
-    _check_s(s)
-    if n < 1:
-        raise ValueError(f"point count must be >= 1, got {n}")
-    (a1, b1), (a2, b2) = elements
-    hx, hz = b1 - a1, b2 - a2
-    gap = max(a2 - b1, a1 - b2)
-    if (a1, b1) == (a2, b2):
-        tx, tz, w = _identical_scheme(s, n)
-        return a1 + hx * tx, a1 + hx * tz, hx ** (3.0 - 2.0 * s) * w
-    if gap == 0:
-        v, sx, sz = (b1, -1.0, 1.0) if b1 == a2 else (a1, 1.0, -1.0)
-        rho_x, rho_z, xi, wq, tu, wu = _adjacent_scheme(s, n)
-        ell = _adjacent_lengths(tu, hx, hz)
-        w = (hx * hz * wq[None, :, None]
-             * (wu * ell ** (1.0 - 2.0 * s))[:, None, :])
-        return ((v + sx * hx * rho_x).ravel(), (v + sz * hz * rho_z).ravel(),
-                w.ravel())
-    if gap < 0:
-        raise ValueError(f"elements ({a1},{b1}) and ({a2},{b2}) overlap")
-    t, wt = _rule01(int(_disjoint_n(n, hx, hz, gap)))
-    x = (a1 + hx * t)[:, None]
-    z = (a2 + hz * t)[None, :]
-    w = hx * hz * np.outer(wt, wt) * np.abs(x - z) ** (1.0 - 2.0 * s)
-    return (np.broadcast_to(x, w.shape).ravel(),
-            np.broadcast_to(z, w.shape).ravel(), w.ravel())

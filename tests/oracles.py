@@ -87,7 +87,8 @@ def kernel_pair_integral(numer_for_x, T1, T2, mu, epsabs=1e-12):
 
 def oracle_weighted_pair_integral(coef_xz, T1, T2, s, epsabs=1e-12):
     """iint q(x, z) |x - z|^(1 - 2s) for a bivariate coefficient array
-    q = sum coef_xz[a, b] x^a z^b -- the reference for pair_quadrature."""
+    q = sum coef_xz[a, b] x^a z^b -- the reference for the per-pair
+    quadrature in pair_reference.py."""
     coef_xz = np.asarray(coef_xz, dtype=float)
 
     def numer_for_x(x):

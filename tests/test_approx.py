@@ -150,8 +150,8 @@ def test_gauss_lobatto_interpolant_converges_for_smooth_function():
 def test_hp_interpolant_matches_at_vertices():
     mesh = build_geometric_mesh((-1, 1), 0.6, 3)
     u = exact_solution(0.5)
-    coeffs = build_hp_interpolant(u, mesh, 3)
     dm = build_dof_map(mesh, DegreeRule.reduced(3))
+    coeffs = build_hp_interpolant(u, dm)
     for v in mesh.nodes[1:-1]:
         assert eval_fem_function(dm, coeffs, float(v)) == pytest.approx(
             float(u(float(v))), rel=1e-13)
@@ -160,7 +160,7 @@ def test_hp_interpolant_matches_at_vertices():
 def test_hp_interpolant_zero_function():
     mesh = build_geometric_mesh((-1, 1), 0.6, 2)
     coeffs = build_hp_interpolant(lambda x: 0.0 * np.asarray(x, float),
-                                        mesh, 2)
+                                  build_dof_map(mesh, DegreeRule.reduced(2)))
     np.testing.assert_array_equal(coeffs, np.zeros_like(coeffs))
 
 
@@ -168,7 +168,7 @@ def test_hp_interpolant_rejects_nonvanishing_trace():
     mesh = build_geometric_mesh((-1, 1), 0.6, 2)
     with pytest.raises(ValueError):
         build_hp_interpolant(lambda x: np.asarray(x, float) + 2.0,
-                                   mesh, 2)
+                             build_dof_map(mesh, DegreeRule.reduced(2)))
 
 
 def test_derivative_recurrence_structure():

