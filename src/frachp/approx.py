@@ -205,11 +205,8 @@ def build_hp_interpolant(u, dofmap):
         raise ValueError("interpolated function must vanish at the domain "
                          "endpoints")
     coeffs = np.zeros(dofmap.n_dofs)
-    for e in range(mesh.n_elements):
-        lo, hi = mesh.element(e + 1)
-        t = gauss_lobatto_nodes(int(dofmap.degrees[e]))
-        x = lo + 0.5 * (hi - lo) * (t + 1.0)
-        g = dofmap.elem_dofs[e]
+    for lo, h, g in zip(dofmap.lo, dofmap.h, dofmap.elem_dofs):
+        x = lo + 0.5 * h * (gauss_lobatto_nodes(len(g) - 1) + 1.0)
         coeffs[g[g >= 0]] = np.asarray(u(x), dtype=float)[g >= 0]
     return coeffs
 
@@ -279,11 +276,9 @@ def _boundary_error_sq(u, du, dofmap, coeffs, e, beta_p):
     term) or into the derivative (derivative term); for s = 1/2 the residual
     factors are analytic.
     """
-    mesh = dofmap.mesh
-    lo, hi = mesh.element(e + 1)
-    h = hi - lo
+    h = dofmap.h[e]
     left = e == 0
-    endpoint = mesh.a if left else mesh.b
+    endpoint = dofmap.mesh.a if left else dofmap.mesh.b
     sign = 1.0 if left else -1.0
 
     def phys(t):
@@ -328,10 +323,9 @@ def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
         if e == 0 or e == mesh.n_elements - 1:
             total += _boundary_error_sq(u, du, dofmap, coeffs, e, beta_p)
             continue
-        lo, hi = mesh.element(e + 1)
-        h = hi - lo
+        h = dofmap.h[e]
         t, w = _rule01(int(dofmap.degrees[e]) + 24)
-        x = lo + h * t
+        x = dofmap.lo[e] + h * t
         r = 1.0 - np.abs(x)
         ev = u(x) - _element_eval(dofmap, coeffs, e, x)
         ed = du(x) - _element_eval(dofmap, coeffs, e, x, derivative=True)

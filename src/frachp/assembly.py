@@ -34,6 +34,10 @@ per-element reference coordinates.  On the two boundary elements the
 endpoint singularity of kappa is removed analytically by factoring the
 first-order zero of the basis functions, leaving a Gauss-Jacobi weight with
 exponent 2-2s.
+
+assemble(dofmap, s, quad_offset=6) and assemble_load(f, dofmap,
+quad_offset=6) read the element bounds, lengths, degrees and dof rows from
+the element table of the dof map, which also carries the mesh.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ class GalerkinSystem:
     stiffness: np.ndarray
     load: np.ndarray
     s: float
-    provenance: str
 
     @property
     def n(self):
@@ -116,19 +119,19 @@ def _scatter(A, rows, cols, blocks):
     np.add.at(A.reshape(-1), flat[keep], blocks[keep])
 
 
-def _identical_blocks(A, els, s, quad_offset):
+def _identical_blocks(A, dm, s, quad_offset):
     """T x T for every element: h^(1-2s) times one reference block per
     degree, whose rows are the divided differences on the reference
     element."""
-    for p in np.unique(els.degrees).tolist():
-        es = np.flatnonzero(els.degrees == p)
+    for p in np.unique(dm.degrees).tolist():
+        es = np.flatnonzero(dm.degrees == p)
         tx, tz, w = _identical_scheme(s, p + quad_offset)
         rows = _shape_matrix(p, 2.0 * tx - 1.0)
         rows -= _shape_matrix(p, 2.0 * tz - 1.0)
         rows /= tx - tz
         ref = (rows * w) @ rows.T
-        g = els.dofs(es)
-        _scatter(A, g, g, els.h[es, None, None] ** (1.0 - 2.0 * s) * ref)
+        g = dm.dofs(es)
+        _scatter(A, g, g, dm.h[es, None, None] ** (1.0 - 2.0 * s) * ref)
 
 
 def _adjacent_table(s, n, pi, pj):
@@ -150,56 +153,56 @@ def _adjacent_table(s, n, pi, pj):
     return (rows @ rows.swapaxes(-1, -2)).reshape(2 * n, m * m)
 
 
-def _adjacent_blocks(A, els, s, quad_offset):
+def _adjacent_blocks(A, dm, s, quad_offset):
     """T_e x T_e+1, twice (for the mirrored pair), per degree pair.
 
     The weight of a point factors into a radial part wq / xi^2, held in the
     table, and a per-pair part h_x h_z wu ell^(-1-2s) in the angular
     variable, so each block is one row of weights times the table.
     """
-    e = np.arange(len(els.h) - 1)
-    keys = np.stack((els.degrees[:-1], els.degrees[1:]), axis=1)
+    e = np.arange(len(dm.h) - 1)
+    keys = np.stack((dm.degrees[:-1], dm.degrees[1:]), axis=1)
     for pi, pj in np.unique(keys, axis=0).tolist():
         es = e[(keys[:, 0] == pi) & (keys[:, 1] == pj)]
         n = max(pi, pj) + quad_offset
         tu, wu = _rule01(n)
-        hx, hz = els.h[es, None], els.h[es + 1, None]
+        hx, hz = dm.h[es, None], dm.h[es + 1, None]
         weights = 2.0 * hx[:, None] * hz[:, None] * wu * _adjacent_lengths(
             tu, hx, hz) ** (-1.0 - 2.0 * s)
         blocks = weights.reshape(len(es), 2 * n) @ _adjacent_table(
             s, n, pi, pj)  # the table is freed before the scatter
-        g = np.concatenate((els.dofs(es)[:, :pi], els.dofs(es + 1)), axis=1)
+        g = np.concatenate((dm.dofs(es)[:, :pi], dm.dofs(es + 1)), axis=1)
         _scatter(A, g, g, blocks.reshape(len(es), pi + pj + 1, -1))
 
 
-def _disjoint_blocks(A, els, s, quad_offset):
+def _disjoint_blocks(A, dm, s, quad_offset):
     """T_i x T_j for j >= i + 2, twice, batched per row i and point count.
 
     On a tensor Gauss rule the kernel weights K_ab = h_i h_j w_a w_b
     |x_a - z_b|^(-1-2s) factor the block into S_x diag(K 1) S_x^T,
     -S_x K S_z^T (and its transpose) and S_z diag(K^T 1) S_z^T.
     """
-    ne = len(els.h)
+    ne = len(dm.h)
     for i in range(ne - 2):
         js = np.arange(i + 2, ne)
-        pi = int(els.degrees[i])
-        pj = els.degrees[js]
-        n = _disjoint_n(np.maximum(pi, pj) + quad_offset, els.h[i], els.h[js],
-                        els.lo[js] - els.hi[i])
-        gx = els.dofs([i])[0]
+        pi = int(dm.degrees[i])
+        pj = dm.degrees[js]
+        n = _disjoint_n(np.maximum(pi, pj) + quad_offset, dm.h[i], dm.h[js],
+                        dm.lo[js] - dm.hi[i])
+        gx = dm.elem_dofs[i]
         own = np.zeros((pi + 1, pi + 1))
         for p, nq in sorted(set(zip(pj.tolist(), n.tolist()))):
             sel = js[(pj == p) & (n == nq)]
             t, wt = _rule01(nq)
-            x = els.lo[i] + els.h[i] * t
-            z = els.lo[sel, None] + els.h[sel, None] * t
+            x = dm.lo[i] + dm.h[i] * t
+            z = dm.lo[sel, None] + dm.h[sel, None] * t
             K = z[:, None, :] - x[:, None]
             np.power(K, -1.0 - 2.0 * s, out=K)
-            K *= (els.h[i] * els.h[sel])[:, None, None] * np.outer(wt, wt)
+            K *= (dm.h[i] * dm.h[sel])[:, None, None] * np.outer(wt, wt)
             sx, sz = _gauss_shapes(pi, nq), _gauss_shapes(p, nq)
             own += (sx * K.sum(axis=(0, 2))) @ sx.T
             cross = -2.0 * (sx @ K) @ sz.T
-            gz = els.dofs(sel)
+            gz = dm.dofs(sel)
             gxs = np.broadcast_to(gx, (len(sel), pi + 1))
             _scatter(A, gxs, gz, cross)
             _scatter(A, gz, gxs, cross.swapaxes(1, 2))
@@ -207,7 +210,7 @@ def _disjoint_blocks(A, els, s, quad_offset):
         _scatter(A, gx[None], gx[None], 2.0 * own[None])
 
 
-def _complement_blocks(els, s, quad_offset):
+def _complement_blocks(dm, s, quad_offset):
     """Blocks of int_T phi_k phi_l kappa, as (elements, blocks) batches:
     every element per degree, then the near-endpoint term of each boundary
     element.
@@ -219,56 +222,33 @@ def _complement_blocks(els, s, quad_offset):
     first-order zero of the active shapes is factored out and t^(2-2s)
     (or (1 - t)^(2-2s)) is absorbed into a Gauss-Jacobi weight.
     """
-    a, b = els.lo[0], els.hi[-1]
+    a, b = dm.lo[0], dm.hi[-1]
     two_s = 2.0 * s
-    last = len(els.h) - 1
+    last = len(dm.h) - 1
     batches = []
-    for p in np.unique(els.degrees).tolist():
-        es = np.flatnonzero(els.degrees == p)
+    for p in np.unique(dm.degrees).tolist():
+        es = np.flatnonzero(dm.degrees == p)
         n = p + quad_offset
         t, w = _rule01(n)
-        h = els.h[es, None]
-        left = ((els.lo[es, None] - a) + h * t) ** -two_s
-        right = ((b - els.hi[es, None]) + h * (1.0 - t)) ** -two_s
+        h = dm.h[es, None]
+        left = ((dm.lo[es, None] - a) + h * t) ** -two_s
+        right = ((b - dm.hi[es, None]) + h * (1.0 - t)) ** -two_s
         left[es == 0] = 0.0
         right[es == last] = 0.0
         weights = w * h * (left + right) / two_s
         vals = _gauss_shapes(p, n)
         batches.append((es, (vals * weights[:, None, :]) @ vals.T))
     for e, near_exps in ((0, (2.0 - two_s, 0.0)), (last, (0.0, 2.0 - two_s))):
-        p = int(els.degrees[e])
+        p = int(dm.degrees[e])
         tj, wj = _jacobi01(p + quad_offset, *near_exps)
         ratios = _shape_matrix(p, 2.0 * tj - 1.0)
         ratios /= tj if e == 0 else 1.0 - tj
-        weights = wj * els.h[e] ** (1.0 - two_s) / two_s
+        weights = wj * dm.h[e] ** (1.0 - two_s) / two_s
         batches.append(([e], ((ratios * weights) @ ratios.T)[None]))
     return batches
 
 
-class _Elements:
-    """Element bounds, lengths, degrees and dof tables of a mesh."""
-
-    def __init__(self, mesh, dofmap):
-        if dofmap.mesh is not mesh and not np.array_equal(dofmap.mesh.nodes,
-                                                          mesh.nodes):
-            raise ValueError("dofmap was built for a different mesh")
-        self.lo = mesh.nodes[:-1]
-        self.hi = mesh.nodes[1:]
-        self.h = self.hi - self.lo
-        self.degrees = np.asarray(dofmap.degrees)
-        # one row per element, padded with -1 past its degree
-        self._table = np.full((len(self.h), self.degrees.max() + 1), -1)
-        for e, g in enumerate(dofmap.elem_dofs):
-            self._table[e, :len(g)] = g
-
-    def dofs(self, es):
-        """Stacked dof tables (-1 for a constrained dof) of elements es,
-        which share one degree."""
-        es = np.asarray(es)
-        return self._table[es, :self.degrees[es[0]] + 1]
-
-
-def assemble(mesh, dofmap, s, quad_offset=6):
+def assemble(dofmap, s, quad_offset=6):
     """Assemble the stiffness matrix of the weak form (stiffness only).
 
     The per-direction point count for each element pair is
@@ -278,45 +258,41 @@ def assemble(mesh, dofmap, s, quad_offset=6):
     _check_s(s)
     s = float(s)
     N = dofmap.n_dofs
-    els = _Elements(mesh, dofmap)
     A = np.zeros((N, N))
-    _identical_blocks(A, els, s, quad_offset)
-    _adjacent_blocks(A, els, s, quad_offset)
-    _disjoint_blocks(A, els, s, quad_offset)
+    _identical_blocks(A, dofmap, s, quad_offset)
+    _adjacent_blocks(A, dofmap, s, quad_offset)
+    _disjoint_blocks(A, dofmap, s, quad_offset)
 
     c = kernel_constant(s)
     A *= 0.5 * c
-    for es, blocks in _complement_blocks(els, s, quad_offset):
-        g = els.dofs(es)
+    for es, blocks in _complement_blocks(dofmap, s, quad_offset):
+        g = dofmap.dofs(es)
         _scatter(A, g, g, c * blocks)
 
     A += np.tril(A, -1).T  # mirror the lower triangle once
     if not np.all(np.isfinite(A)):
         raise RuntimeError("stiffness assembly produced non-finite entries")
-    prov = (f"mesh=({mesh.a},{mesh.b}),sigma={mesh.sigma},L={mesh.layers};"
-            f"rule={dofmap.rule.kind}(p={dofmap.rule.p});s={s}")
-    return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s, provenance=prov)
+    return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)
 
 
-def assemble_load(f, mesh, dofmap, quad_offset=6):
+def assemble_load(f, dofmap, quad_offset=6):
     """Load vector b_k = int_Omega f phi_k, per-element Gauss-Legendre.
 
     f is called once per degree on a 1-D array of points.
     """
-    els = _Elements(mesh, dofmap)
     b = np.zeros(dofmap.n_dofs)
-    for p in np.unique(els.degrees).tolist():
-        es = np.flatnonzero(els.degrees == p)
+    for p in np.unique(dofmap.degrees).tolist():
+        es = np.flatnonzero(dofmap.degrees == p)
         n = p + quad_offset
         t, w = _rule01(n)
-        x = els.lo[es, None] + els.h[es, None] * t
+        x = dofmap.lo[es, None] + dofmap.h[es, None] * t
         fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), (x.size,))
         fx = fx.reshape(x.shape)
         bad = ~np.isfinite(fx).all(axis=1)
         if bad.any():
             raise ValueError(f"load function returned non-finite values on "
                              f"element {es[bad][0] + 1}")
-        local = (w * els.h[es, None] * fx) @ _gauss_shapes(p, n).T
-        g = els.dofs(es)
+        local = (w * dofmap.h[es, None] * fx) @ _gauss_shapes(p, n).T
+        g = dofmap.dofs(es)
         np.add.at(b, g[g >= 0], local[g >= 0])
     return b

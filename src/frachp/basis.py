@@ -8,11 +8,12 @@ points), so interpolation at those points is a coefficient read-off.
 Global numbering: the 2L+1 interior vertices come first, left to right,
 then the element-internal dofs element by element.  The two endpoint
 vertex dofs are constrained to zero and carry the sentinel index -1 in the
-per-element tables.
+element table of the DofMap, which also holds the element bounds.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -150,16 +151,18 @@ class DegreeRule:
     def __post_init__(self):
         if self.kind not in ("uniform", "reduced"):
             raise ValueError(f"unknown degree rule kind {self.kind!r}")
+        # a non-integer degree raises TypeError instead of truncating
+        object.__setattr__(self, "p", operator.index(self.p))
         if self.p < 1:
             raise ValueError(f"degree must be >= 1, got {self.p}")
 
     @classmethod
     def uniform(cls, p):
-        return cls("uniform", int(p))
+        return cls("uniform", p)
 
     @classmethod
     def reduced(cls, p):
-        return cls("reduced", int(p))
+        return cls("reduced", p)
 
     def degrees(self, mesh):
         deg = np.full(mesh.n_elements, self.p, dtype=int)
@@ -171,42 +174,57 @@ class DegreeRule:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global numbering of the zero-trace C^0 basis on a mesh.
+    """Global numbering of the zero-trace C^0 basis on a mesh, and the one
+    element table that assembly, evaluation and interpolation read.
 
-    elem_dofs[e][k] is the global index of local shape k on element e
-    (0-based element, local 0 = left vertex, local p = right vertex), or -1
-    for a constrained endpoint dof.
+    table[e, k] is the global index of local shape k on element e (0-based
+    element, local 0 = left vertex, local p_e = right vertex), -1 for a
+    constrained endpoint dof and for the padding past p_e; elem_dofs[e] is
+    row e trimmed to its p_e + 1 entries.
+
+    lo and hi are the element bounds, and h = hi - lo is the difference of
+    the stored nodes, not mesh.lengths: the finite element space lives on
+    these nodes.  The node differences drift from the grading formula by up
+    to 3.4e-12 relative (sigma = 0.17, L = 6 on (-2, 3)) and 1.6e-11 at
+    L = 24, so h from lengths would disagree with lo, hi and move energies.
     """
 
     mesh: GeometricMesh
-    rule: DegreeRule
     degrees: np.ndarray
     n_dofs: int
+    table: np.ndarray
     elem_dofs: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    h: np.ndarray
+
+    def dofs(self, es):
+        """Stacked dof rows of elements es, which share one degree."""
+        es = np.asarray(es)
+        return self.table[es, :self.degrees[es[0]] + 1]
 
 
 def build_dof_map(mesh, rule):
-    """Assign global dof indices: interior vertices first, then internals."""
-    L = mesh.layers
+    """Assign global dof indices: interior vertices first, then internals
+    element by element."""
     degrees = rule.degrees(mesh)
-    n_vertex = 2 * L + 1
-    tables = []
-    next_free = n_vertex
-    for e in range(mesh.n_elements):
-        p = int(degrees[e])
-        tab = np.full(p + 1, -1, dtype=int)
-        left, right = e, e + 1  # node indices
-        if left > 0:
-            tab[0] = left - 1
-        if right < 2 * L + 2:
-            tab[p] = right - 1
-        for k in range(1, p):
-            tab[k] = next_free
-            next_free += 1
-        tab.flags.writeable = False
-        tables.append(tab)
-    return DofMap(mesh=mesh, rule=rule, degrees=degrees, n_dofs=next_free,
-                  elem_dofs=tuple(tables))
+    ne = len(degrees)
+    table = np.full((ne, degrees.max() + 1), -1)
+    vertices = np.arange(ne - 1)  # interior vertex v joins elements v, v+1
+    table[vertices + 1, 0] = vertices
+    table[vertices, degrees[:-1]] = vertices
+    k = np.arange(table.shape[1])
+    internal = (k >= 1) & (k < degrees[:, None])
+    n_dofs = ne - 1 + int(internal.sum())
+    # a boolean mask assigns in row-major order, so element by element
+    table[internal] = np.arange(ne - 1, n_dofs)
+    table.flags.writeable = False
+    h = np.diff(mesh.nodes)
+    h.flags.writeable = False
+    return DofMap(mesh=mesh, degrees=degrees, n_dofs=n_dofs, table=table,
+                  elem_dofs=tuple(table[e, :p + 1]
+                                  for e, p in enumerate(degrees.tolist())),
+                  lo=mesh.nodes[:-1], hi=mesh.nodes[1:], h=h)
 
 
 def _lobatto_eval(values, lo, hi, x, derivative=False):
@@ -226,9 +244,8 @@ def _lobatto_eval(values, lo, hi, x, derivative=False):
 def _element_eval(dofmap, coeffs, e, x, derivative=False):
     """Evaluate the FEM function (or derivative) at points x inside element e."""
     g = dofmap.elem_dofs[e]
-    lo, hi = dofmap.mesh.element(e + 1)
-    return _lobatto_eval(np.where(g >= 0, coeffs[g], 0.0), lo, hi, x,
-                         derivative)
+    return _lobatto_eval(np.where(g >= 0, coeffs[g], 0.0), dofmap.lo[e],
+                         dofmap.hi[e], x, derivative)
 
 
 def _eval(dofmap, coeffs, x, derivative):

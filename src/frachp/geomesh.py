@@ -14,6 +14,7 @@ dist(T, {a,b}) <= K * diam(T) with K = max((1-sigma)/sigma, sigma/(1-sigma)).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,7 @@ def build_geometric_mesh(domain, sigma, layers):
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"grading factor sigma must lie in (0, 1), got {sigma}")
-    layers = int(layers)
+    layers = operator.index(layers)  # 2.5 raises TypeError, np.int64 passes
     if layers < 0:
         raise ValueError(f"layer count must be nonnegative, got {layers}")
 

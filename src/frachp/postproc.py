@@ -108,9 +108,9 @@ def solve_problem(s, sigma, L, rule, quad_offset=6):
     """
     mesh = build_geometric_mesh((-1.0, 1.0), sigma, L)
     dofmap = build_dof_map(mesh, rule)
-    system = assemble(mesh, dofmap, s, quad_offset=quad_offset)
+    system = assemble(dofmap, s, quad_offset=quad_offset)
     system = replace(system, load=assemble_load(
-        lambda x: np.ones_like(x), mesh, dofmap, quad_offset=quad_offset))
+        lambda x: np.ones_like(x), dofmap, quad_offset=quad_offset))
     sol = cholesky_solve(system)
     return mesh, dofmap, system, sol
 

@@ -118,7 +118,7 @@ def test_criterion_3_quadrature_oracle_equivalence():
     for p in (1, 2, 3):
         dm = build_dof_map(mesh, DegreeRule.uniform(p))
         for s in S_VALUES:
-            A = assemble(mesh, dm, s).stiffness
+            A = assemble(dm, s).stiffness
             A_oracle = oracle_stiffness(mesh, dm, s)
             rel = np.max(np.abs(A - A_oracle) / np.abs(A_oracle))
             worst = max(worst, rel)
@@ -135,7 +135,7 @@ def test_criterion_4_structural_matrix_properties():
             for L in range(1, L_MAX + 1):
                 mesh = build_geometric_mesh((-1, 1), SIGMA, L)
                 dm = build_dof_map(mesh, DegreeRule(rule_kind, L))
-                A = assemble(mesh, dm, s).stiffness
+                A = assemble(dm, s).stiffness
                 sym = np.max(np.abs(A - A.T)) / np.max(np.abs(A))
                 worst_sym = max(worst_sym, sym)
                 ok &= sym <= 1e-12

@@ -9,7 +9,7 @@ import pytest
 from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
                     build_geometric_mesh, cholesky_solve, complement_weight,
                     kernel_constant)
-from frachp.assembly import _complement_blocks, _Elements
+from frachp.assembly import _complement_blocks
 from frachp.basis import _shape_matrix
 from frachp.quadrature import _rule01
 from oracles import oracle_stiffness
@@ -53,7 +53,7 @@ def test_complement_weight_blows_up_at_boundary():
 def test_single_hat_entry_against_oracle():
     mesh = build_geometric_mesh((-1, 1), 0.6, 0)
     dm = build_dof_map(mesh, DegreeRule.uniform(1))
-    system = assemble(mesh, dm, 0.5)
+    system = assemble(dm, 0.5)
     assert system.stiffness.shape == (1, 1)
     a11 = system.stiffness[0, 0]
     assert a11 > 0
@@ -65,7 +65,7 @@ def test_oracle_equivalence_spot_check():
     # full sweep lives in the acceptance suite; one moderate case here
     mesh = build_geometric_mesh((-1, 1), 0.6, 1)
     dm = build_dof_map(mesh, DegreeRule.uniform(2))
-    A = assemble(mesh, dm, 0.5).stiffness
+    A = assemble(dm, 0.5).stiffness
     A_oracle = oracle_stiffness(mesh, dm, 0.5)
     rel = np.abs(A - A_oracle) / np.abs(A_oracle)
     assert rel.max() <= 1e-5
@@ -74,7 +74,7 @@ def test_oracle_equivalence_spot_check():
 def test_symmetry_exact():
     mesh = build_geometric_mesh((-1, 1), 0.6, 3)
     dm = build_dof_map(mesh, DegreeRule.uniform(3))
-    A = assemble(mesh, dm, 0.3).stiffness
+    A = assemble(dm, 0.3).stiffness
     assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
 
 
@@ -85,11 +85,11 @@ def test_scaling_linearity_in_kernel_constant(monkeypatch):
 
     mesh = build_geometric_mesh((-1, 1), 0.5, 1)
     dm = build_dof_map(mesh, DegreeRule.uniform(1))
-    A = assemble(mesh, dm, 0.4).stiffness
+    A = assemble(dm, 0.4).stiffness
     true_c = kernel_constant
     monkeypatch.setattr(assembly_mod, "kernel_constant",
                         lambda s: 2.0 * true_c(s))
-    A2 = assemble(mesh, dm, 0.4).stiffness
+    A2 = assemble(dm, 0.4).stiffness
     np.testing.assert_array_equal(A2, 2.0 * A)
 
 
@@ -98,15 +98,15 @@ def test_spd_across_study_configurations():
         for L in (1, 4, 7, 10):
             mesh = build_geometric_mesh((-1, 1), 0.6, L)
             dm = build_dof_map(mesh, DegreeRule.uniform(min(L, 10)))
-            A = assemble(mesh, dm, s).stiffness
+            A = assemble(dm, s).stiffness
             np.linalg.cholesky(A)  # raises if not SPD
 
 
 def test_serial_assembly_deterministic():
     mesh = build_geometric_mesh((-1, 1), 0.6, 3)
     dm = build_dof_map(mesh, DegreeRule.uniform(3))
-    A1 = assemble(mesh, dm, 0.7).stiffness
-    A2 = assemble(mesh, dm, 0.7).stiffness
+    A1 = assemble(dm, 0.7).stiffness
+    A2 = assemble(dm, 0.7).stiffness
     np.testing.assert_array_equal(A1, A2)
 
 
@@ -140,7 +140,7 @@ def per_pair_stiffness(mesh, dm, s, quad_offset):
         A[np.ix_(g, g)] += scale * (rows * w) @ rows.T
     c = kernel_constant(s)
     A *= 0.5 * c
-    for es, blocks in _complement_blocks(_Elements(mesh, dm), s, quad_offset):
+    for es, blocks in _complement_blocks(dm, s, quad_offset):
         for e, local in zip(es, blocks):
             A[np.ix_(dofs[e], dofs[e])] += c * local
     A = A[:N, :N]
@@ -155,7 +155,7 @@ def test_batched_assembly_matches_per_pair(kind, s, L):
     mesh = build_geometric_mesh((-1, 1), 0.6, L)
     dm = build_dof_map(mesh, DegreeRule(kind, L + 2))
     for quad_offset in (3, 6, 12):
-        A = assemble(mesh, dm, s, quad_offset=quad_offset).stiffness
+        A = assemble(dm, s, quad_offset=quad_offset).stiffness
         ref = per_pair_stiffness(mesh, dm, s, quad_offset)
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(A).max()
 
@@ -169,7 +169,7 @@ def test_general_interval_scaling(s, L):
     blocks = []
     for domain in ((0.5, 3.5), (-1.0, 1.0)):
         mesh = build_geometric_mesh(domain, 0.6, L)
-        blocks.append(assemble(mesh, build_dof_map(mesh, rule), s).stiffness)
+        blocks.append(assemble(build_dof_map(mesh, rule), s).stiffness)
     scaled = 1.5 ** (1.0 - 2.0 * s) * blocks[1]
     assert np.abs(blocks[0] - scaled).max() <= 1e-12 * np.abs(scaled).max()
 
@@ -182,7 +182,7 @@ def test_continuity_in_s_no_artifact_at_half():
     # side of 1/2, while the second difference is 0.3%
     mesh = build_geometric_mesh((-1, 1), 0.6, 2)
     dm = build_dof_map(mesh, DegreeRule.uniform(2))
-    A = {s: assemble(mesh, dm, s).stiffness for s in (0.49, 0.50, 0.51)}
+    A = {s: assemble(dm, s).stiffness for s in (0.49, 0.50, 0.51)}
     scale = np.abs(A[0.50]).max()
     second = np.abs(A[0.51] - 2 * A[0.50] + A[0.49]).max() / scale
     assert second < 0.01
@@ -198,7 +198,7 @@ def test_continuity_in_s_no_artifact_at_half():
 def test_continuity_in_s_literal_bound():
     mesh = build_geometric_mesh((-1, 1), 0.6, 2)
     dm = build_dof_map(mesh, DegreeRule.uniform(2))
-    A = {s: assemble(mesh, dm, s).stiffness for s in (0.49, 0.50, 0.51)}
+    A = {s: assemble(dm, s).stiffness for s in (0.49, 0.50, 0.51)}
     for s1, s2 in ((0.49, 0.50), (0.50, 0.51)):
         rel = np.abs(A[s2] - A[s1]) / np.abs(A[0.50])
         assert rel.max() <= 0.05
@@ -207,16 +207,16 @@ def test_continuity_in_s_literal_bound():
 def test_load_vector_hat():
     mesh = build_geometric_mesh((-1, 1), 0.6, 0)
     dm = build_dof_map(mesh, DegreeRule.uniform(1))
-    b = assemble_load(lambda x: np.ones_like(x), mesh, dm)
+    b = assemble_load(lambda x: np.ones_like(x), dm)
     assert b[0] == pytest.approx(1.0, rel=1e-14)  # area under the unit hat
     np.testing.assert_array_equal(
-        assemble_load(lambda x: np.zeros_like(x), mesh, dm), np.zeros(1))
+        assemble_load(lambda x: np.zeros_like(x), dm), np.zeros(1))
 
 
 def test_load_vector_antisymmetric_for_odd_f():
     mesh = build_geometric_mesh((-1, 1), 0.6, 2)
     dm = build_dof_map(mesh, DegreeRule.uniform(2))
-    b = assemble_load(lambda x: x, mesh, dm)
+    b = assemble_load(lambda x: x, dm)
     # reflection dof map: vertex v <-> 2L+2-v, internal (e,k) <-> (E-1-e,p-k)
     L, E = mesh.layers, mesh.n_elements
     perm = np.empty(dm.n_dofs, dtype=int)
@@ -233,24 +233,10 @@ def test_load_rejects_non_finite_f():
     mesh = build_geometric_mesh((-1, 1), 0.6, 1)
     dm = build_dof_map(mesh, DegreeRule.uniform(1))
     with pytest.raises(ValueError):
-        assemble_load(lambda x: np.full_like(x, np.nan), mesh, dm)
+        assemble_load(lambda x: np.full_like(x, np.nan), dm)
     # only the last element, (0.4, 1), holds points with x > 0.9
     with pytest.raises(ValueError, match=f"element {mesh.n_elements}$"):
-        assemble_load(lambda x: np.where(x > 0.9, np.nan, 1.0), mesh, dm)
-
-
-@pytest.mark.parametrize("sigma,L", [(0.5, 3), (0.6, 5)],
-                         ids=["other-sigma", "other-L"])
-def test_dofmap_of_another_mesh_rejected(sigma, L):
-    # the map belongs to the sigma = 0.6, L = 3 mesh; on another sigma it
-    # has the same dof count, so only the node check can catch it
-    mesh = build_geometric_mesh((-1, 1), sigma, L)
-    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, 3),
-                       DegreeRule.uniform(3))
-    with pytest.raises(ValueError, match="different mesh"):
-        assemble(mesh, dm, 0.5)
-    with pytest.raises(ValueError, match="different mesh"):
-        assemble_load(lambda x: np.ones_like(x), mesh, dm)
+        assemble_load(lambda x: np.where(x > 0.9, np.nan, 1.0), dm)
 
 
 def per_element_load(f, mesh, dm, quad_offset=6):
@@ -273,7 +259,7 @@ def test_batched_load_matches_per_element(kind, L):
     f = lambda x: np.cos(3.0 * x) + x
     mesh = build_geometric_mesh((-1, 1), 0.6, L)
     dm = build_dof_map(mesh, DegreeRule(kind, L + 2))
-    b = assemble_load(f, mesh, dm)
+    b = assemble_load(f, dm)
     ref = per_element_load(f, mesh, dm)
     assert np.abs(b - ref).max() <= 1e-14 * np.abs(b).max()
 
@@ -285,16 +271,16 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
     # quad_offset; the blocks then differ only by rounding, although the
     # boundary elements have length sigma^24 ~ 5e-6
     mesh = build_geometric_mesh((-1, 1), 0.6, 24)
-    els = _Elements(mesh, build_dof_map(mesh, DegreeRule.uniform(24)))
+    dm = build_dof_map(mesh, DegreeRule.uniform(24))
     ends = (0, mesh.n_elements - 1)
     blocks = [dict.fromkeys(ends, 0.0) for _ in range(2)]
     for sums, offset in zip(blocks, (6, 30)):
-        for es, batch in _complement_blocks(els, s, offset):
+        for es, batch in _complement_blocks(dm, s, offset):
             for e, local in zip(es, batch):
                 if e in sums:
                     sums[e] = sums[e] + local
     for e in ends:
-        keep = els.dofs([e])[0] >= 0
+        keep = dm.elem_dofs[e] >= 0
         active = np.ix_(keep, keep)
         ref = blocks[1][e][active]
         diff = blocks[0][e][active] - ref
@@ -305,10 +291,10 @@ def test_assembly_peak_memory_one_mirror_temporary():
     # the matrix, one N x N temporary for the mirror, and small batches
     mesh = build_geometric_mesh((-1, 1), 0.6, 14)
     dm = build_dof_map(mesh, DegreeRule.uniform(14))
-    assemble(mesh, dm, 0.5)  # warm the shape-table caches
+    assemble(dm, 0.5)  # warm the shape-table caches
     tracemalloc.start()
     try:
-        assemble(mesh, dm, 0.5)
+        assemble(dm, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -317,7 +303,7 @@ def test_assembly_peak_memory_one_mirror_temporary():
 
 def test_galerkin_system_is_frozen():
     mesh = build_geometric_mesh((-1, 1), 0.6, 1)
-    system = assemble(mesh, build_dof_map(mesh, DegreeRule.uniform(1)), 0.5)
+    system = assemble(build_dof_map(mesh, DegreeRule.uniform(1)), 0.5)
     with pytest.raises(FrozenInstanceError):
         system.load = np.ones(system.n)
 
@@ -325,8 +311,8 @@ def test_galerkin_system_is_frozen():
 def test_galerkin_identity_after_solve():
     mesh = build_geometric_mesh((-1, 1), 0.6, 3)
     dm = build_dof_map(mesh, DegreeRule.uniform(3))
-    system = replace(assemble(mesh, dm, 0.7),
-                     load=assemble_load(lambda x: np.ones_like(x), mesh, dm))
+    system = replace(assemble(dm, 0.7),
+                     load=assemble_load(lambda x: np.ones_like(x), dm))
     sol = cholesky_solve(system)
     c = sol.coeffs
     cac = c @ system.stiffness @ c

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -108,13 +110,53 @@ def test_reduced_rule_matches_uniform_for_p1():
                                   DegreeRule.uniform(1).degrees(mesh))
 
 
+class MixedDegrees:
+    """Degrees 1, 2, ..., 4, 1, 2, ... left to right: a map on which
+    neighbouring elements never share a degree."""
+
+    def degrees(self, mesh):
+        return 1 + np.arange(mesh.n_elements) % 4
+
+
 def test_vertex_dofs_shared_and_endpoints_constrained():
-    mesh = build_geometric_mesh((-1, 1), 0.5, 2)
-    dm = build_dof_map(mesh, DegreeRule.uniform(3))
-    for e in range(mesh.n_elements - 1):
-        assert dm.elem_dofs[e][-1] == dm.elem_dofs[e + 1][0]
-    assert dm.elem_dofs[0][0] == -1
-    assert dm.elem_dofs[-1][-1] == -1
+    for rule, L in itertools.product(
+            (DegreeRule.uniform(3), DegreeRule.reduced(3), MixedDegrees()),
+            (0, 1, 6)):
+        mesh = build_geometric_mesh((-1, 1), 0.5, L)
+        dm = build_dof_map(mesh, rule)
+        for e in range(mesh.n_elements - 1):
+            assert dm.elem_dofs[e][-1] == dm.elem_dofs[e + 1][0]
+        assert dm.elem_dofs[0][0] == -1
+        assert dm.elem_dofs[-1][-1] == -1
+        # interior vertices first, then the internal dofs element by element
+        internal = iter(range(2 * L + 1, dm.n_dofs))
+        for e, g in enumerate(dm.elem_dofs):
+            right = -1 if e == mesh.n_elements - 1 else e
+            inner = [next(internal) for _ in range(1, int(dm.degrees[e]))]
+            assert g.tolist() == [e - 1] + inner + [right]
+        assert next(internal, None) is None
+        # the padded table: dofs(es) stacks the rows of elements es, and
+        # every entry past an element's degree is -1
+        for p in np.unique(dm.degrees).tolist():
+            es = np.flatnonzero(dm.degrees == p)
+            np.testing.assert_array_equal(
+                dm.dofs(es), np.stack([dm.elem_dofs[e] for e in es]))
+            assert (dm.table[es, p + 1:] == -1).all()
+        np.testing.assert_array_equal(dm.lo, mesh.nodes[:-1])
+        np.testing.assert_array_equal(dm.hi, mesh.nodes[1:])
+        np.testing.assert_array_equal(dm.h, dm.hi - dm.lo)
+
+
+@pytest.mark.parametrize("make", [lambda p: DegreeRule("uniform", p),
+                                  DegreeRule.uniform, DegreeRule.reduced],
+                         ids=["init", "uniform", "reduced"])
+def test_degree_rule_rejects_non_integer_degree(make):
+    with pytest.raises(TypeError):
+        make(2.5)
+    with pytest.raises(TypeError):
+        make(2.9)
+    rule = make(np.int64(3))
+    assert rule.p == 3 and type(rule.p) is int
 
 
 def test_eval_piecewise_linear_interpolation():

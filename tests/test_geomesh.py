@@ -73,6 +73,15 @@ def test_rejects_bad_arguments():
         build_geometric_mesh((-1, 1), 0.5, -1)
 
 
+def test_layer_count_must_be_an_integer():
+    with pytest.raises(TypeError):
+        build_geometric_mesh((-1, 1), 0.5, 2.5)
+    mesh = build_geometric_mesh((-1, 1), 0.5, np.int64(3))
+    assert mesh.layers == 3 and type(mesh.layers) is int
+    np.testing.assert_array_equal(mesh.nodes,
+                                  build_geometric_mesh((-1, 1), 0.5, 3).nodes)
+
+
 def test_element_of_tie_breaks():
     mesh = build_geometric_mesh((-1, 1), 0.5, 2)
     assert element_of(mesh, -0.75) == 2      # shared node goes right

@@ -12,7 +12,7 @@ from frachp import (DegreeRule, GalerkinSystem, NotSPDError, assemble,
 
 def make_system(A, b):
     return GalerkinSystem(stiffness=np.asarray(A, float),
-                          load=np.asarray(b, float), s=0.5, provenance="test")
+                          load=np.asarray(b, float), s=0.5)
 
 
 def test_scalar_system():
@@ -43,8 +43,8 @@ def test_n1_fractional_system_regression():
     # u(0)=1, inside the 14% bound below)
     mesh = build_geometric_mesh((-1, 1), 0.6, 0)
     dm = build_dof_map(mesh, DegreeRule.uniform(1))
-    system = replace(assemble(mesh, dm, 0.5),
-                     load=assemble_load(lambda x: np.ones_like(x), mesh, dm))
+    system = replace(assemble(dm, 0.5),
+                     load=assemble_load(lambda x: np.ones_like(x), dm))
     sol = cholesky_solve(system)
     assert system.load[0] == pytest.approx(1.0, rel=1e-14)
     assert sol.coeffs[0] == pytest.approx(1.0 / system.stiffness[0, 0],
@@ -57,8 +57,8 @@ def test_n1_fractional_system_regression():
 def test_energy_identity():
     mesh = build_geometric_mesh((-1, 1), 0.6, 2)
     dm = build_dof_map(mesh, DegreeRule.uniform(2))
-    system = replace(assemble(mesh, dm, 0.3),
-                     load=assemble_load(lambda x: np.ones_like(x), mesh, dm))
+    system = replace(assemble(dm, 0.3),
+                     load=assemble_load(lambda x: np.ones_like(x), dm))
     sol = cholesky_solve(system)
     assert sol.energy == pytest.approx(sol.coeffs @ system.load, rel=1e-10)
     assert sol.energy > 0
@@ -72,8 +72,8 @@ def test_discrete_energy_monotone_in_degree():
     energies = []
     for p in range(1, 6):
         dm = build_dof_map(mesh, DegreeRule.uniform(p))
-        system = replace(assemble(mesh, dm, 0.5),
-                         load=assemble_load(lambda x: np.ones_like(x), mesh, dm))
+        system = replace(assemble(dm, 0.5),
+                         load=assemble_load(lambda x: np.ones_like(x), dm))
         energies.append(cholesky_solve(system).energy)
     diffs = np.diff(energies)
     assert np.all(diffs >= -1e-12)
