@@ -12,6 +12,7 @@ fails.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -223,7 +224,7 @@ class DerivativeRecurrence:
         x = Polynomial([0.0, 1.0])
         one_minus_x2 = Polynomial([1.0, 0.0, -1.0])
         qs = [Polynomial([1.0])]
-        for p in range(int(p_max)):
+        for p in range(operator.index(p_max)):
             q = qs[-1]
             qs.append(one_minus_x2 * q.deriv() - 2.0 * (s - p) * x * q)
         return cls(s=float(s), polynomials=tuple(qs))
@@ -252,7 +253,7 @@ def weighted_derivative_norms(s, p_max, epsilon):
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    p_max = int(p_max)
+    p_max = operator.index(p_max)
     if not 1 <= p_max <= 20:
         raise ValueError(f"p_max must lie in 1..20, got {p_max}")
     rec = DerivativeRecurrence.build(s, p_max)
@@ -338,7 +339,7 @@ def interpolation_error_study(s, sigma, L_max, eps_prime=0.05):
     """Interpolation-error sweep L = p = 1..L_max; rows match the
     interp-study CSV schema (p, L, sigma, s, weighted_error)."""
     rows = []
-    for L in range(1, int(L_max) + 1):
+    for L in range(1, operator.index(L_max) + 1):
         err = interpolant_weighted_error(s, sigma, L, eps_prime)
         rows.append((L, L, float(sigma), float(s), err))
     return rows

@@ -30,7 +30,7 @@ __all__ = [
 
 def legendre_eval(n, x):
     """Legendre polynomial P_n(x) via the three-term recurrence."""
-    n = int(n)
+    n = operator.index(n)
     if n < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -73,7 +73,7 @@ def _lobatto_nodes(p):
 
 def gauss_lobatto_nodes(p):
     """The p+1 Gauss-Lobatto points of degree p: -1, roots of P_p', 1."""
-    return _lobatto_nodes(int(p))
+    return _lobatto_nodes(operator.index(p))
 
 
 @lru_cache(maxsize=None)

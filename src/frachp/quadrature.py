@@ -31,10 +31,10 @@ functions on these schemes once per pair class and degree.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 __all__ = []
 
@@ -50,20 +50,109 @@ def _rule01(n):
     return t, wt
 
 
+# Up to this many points the rule comes from the eigenvectors of the Jacobi
+# matrix; above it, from Newton's method on the recurrence, which needs no
+# n x n matrix (the weighted rules of `approx` reach 1024 points).
+_EIGH_MAX = 64
+
+
 def _jacobi01(n, exp0, exp1):
     """Rule on (0, 1) with the weight t^exp0 (1-t)^exp1 absorbed.
 
     Not cached: the exponents of the singular schemes move with s, so a
     cache keyed by them would grow by a few rules with every new s.
     """
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"number of points must be >= 1, got {n}")
+    if not (exp0 > -1.0 and exp1 > -1.0):
+        raise ValueError(
+            f"weight exponents must exceed -1, got {exp0} and {exp1}")
     if exp0 == 0.0 and exp1 == 0.0:
         return _rule01(n)
-    x, w = special.roots_jacobi(int(n), exp1, exp0)
-    t = 0.5 * (x + 1.0)
-    wt = w * 0.5 ** (exp0 + exp1 + 1.0)
+    if n <= _EIGH_MAX:
+        t, wt = _golub_welsch(n, exp0, exp1)
+    else:
+        t, wt = _jacobi_newton(n, exp0, exp1)
     t.flags.writeable = False
     wt.flags.writeable = False
     return t, wt
+
+
+def _jacobi_matrix(n, alpha, beta):
+    """Recurrence coefficients of the Jacobi polynomials orthonormal for
+    (1-x)^alpha (1+x)^beta on (-1, 1): x p_k = b_{k+1} p_{k+1} + a_k p_k
+    + b_k p_{k-1}.  Returns (a_0..a_{n-1}, b_1..b_n)."""
+    ab = alpha + beta
+    s = 2.0 * np.arange(1, n) + ab
+    a = np.empty(n)
+    a[0] = (beta - alpha) / (ab + 2.0)
+    a[1:] = (beta - alpha) * (beta + alpha) / (s * (s + 2.0))
+    b2 = np.empty(n)
+    # k = 1 apart: the factor 1 + ab cancels there, and vanishes at ab = -1
+    b2[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab))
+    k = np.arange(2.0, n + 1.0)
+    s = 2.0 * k + ab
+    b2[1:] = (4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+              / (s * s * (s + 1.0) * (s - 1.0)))
+    return a, np.sqrt(b2)
+
+
+def _weight_mass(exp0, exp1):
+    """int_0^1 t^exp0 (1-t)^exp1 dt = B(exp0 + 1, exp1 + 1)."""
+    return math.exp(math.lgamma(exp0 + 1.0) + math.lgamma(exp1 + 1.0)
+                    - math.lgamma(exp0 + exp1 + 2.0))
+
+
+def _golub_welsch(n, exp0, exp1):
+    """Nodes as eigenvalues of the Jacobi matrix, weights as the mass times
+    the squared first eigenvector components (Golub & Welsch, 1969)."""
+    a, b = _jacobi_matrix(n, exp1, exp0)
+    x, V = np.linalg.eigh(np.diag(a) + np.diag(b[:-1], -1))
+    return 0.5 * (x + 1.0), _weight_mass(exp0, exp1) * V[0] ** 2
+
+
+def _orthonormal_sweep(x, a, b):
+    """(p_{n-1}(x), p_n(x), sum_{k<n} p_k(x)^2) by the recurrence, p_0 = 1."""
+    p_prev = np.zeros_like(x)
+    p = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(len(a)):
+        p_prev, p = p, ((x - a[k]) * p - b[k - 1] * p_prev) / b[k]
+        if k < len(a) - 1:
+            total += p * p
+    return p_prev, p, total
+
+
+def _jacobi_newton(n, exp0, exp1):
+    """Nodes by Newton's method in the angle theta, x = cos(theta), on the
+    orthonormal recurrence, started from the interior asymptotic guesses of
+    Gatteschi's type (Hale & Townsend, 2013); weights are the Christoffel
+    numbers mass / sum_{k<n} p_k^2."""
+    alpha, beta = exp1, exp0  # x = 2t - 1, so (1-x)^alpha carries (1-t)^exp1
+    a, b = _jacobi_matrix(n, alpha, beta)
+    ab = alpha + beta
+    rho = n + 0.5 * (ab + 1.0)
+    phi = (np.arange(n, 0, -1) + 0.5 * alpha - 0.25) * (np.pi / rho)
+    theta = phi + ((0.25 - alpha * alpha) / np.tan(0.5 * phi)
+                   - (0.25 - beta * beta) * np.tan(0.5 * phi)) / (2.0 * rho) ** 2
+    # (1 - x^2) p_n' = n ((alpha - beta) / (2n + ab) - x) p_n
+    #                  + (2n + ab + 1) b_n p_{n-1}
+    c0 = n * (alpha - beta) / (2.0 * n + ab)
+    c1 = (2.0 * n + ab + 1.0) * b[-1]
+    for _ in range(20):
+        x = np.cos(theta)
+        p_prev, p, _ = _orthonormal_sweep(x, a, b)
+        step = p * np.sin(theta) / ((c0 - n * x) * p + c1 * p_prev)
+        theta += step
+        # Newton converges quadratically, so after a step this small the
+        # nodes sit at roundoff, where steps stop shrinking; exponents near
+        # -1 have the poorest guesses and take the most passes (7 at -0.999)
+        if np.max(np.abs(step)) <= 1e-10:
+            break
+    _, _, total = _orthonormal_sweep(np.cos(theta), a, b)
+    half = np.cos(0.5 * theta)
+    return half * half, _weight_mass(exp0, exp1) / total
 
 
 def _check_s(s):

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from frachp import (DegreeRule, build_dof_map, build_geometric_mesh,
-                    eval_fem_derivative, eval_fem_function,
-                    gauss_lobatto_nodes, legendre_eval, shape_deriv,
-                    shape_eval)
+from frachp import (DegreeRule, DerivativeRecurrence, build_dof_map,
+                    build_geometric_mesh, eval_fem_derivative,
+                    eval_fem_function, gauss_lobatto_nodes, legendre_eval,
+                    shape_deriv, shape_eval, weighted_derivative_norms)
 from frachp.basis import _legendre_pair
 
 
@@ -147,16 +147,25 @@ def test_vertex_dofs_shared_and_endpoints_constrained():
         np.testing.assert_array_equal(dm.h, dm.hi - dm.lo)
 
 
-@pytest.mark.parametrize("make", [lambda p: DegreeRule("uniform", p),
-                                  DegreeRule.uniform, DegreeRule.reduced],
-                         ids=["init", "uniform", "reduced"])
+@pytest.mark.parametrize(
+    "make", [lambda p: DegreeRule("uniform", p), DegreeRule.uniform,
+             DegreeRule.reduced, gauss_lobatto_nodes,
+             lambda p: legendre_eval(p, np.linspace(-1, 1, 5)),
+             lambda p: DerivativeRecurrence.build(0.3, p).polynomials[-1].coef,
+             lambda p: weighted_derivative_norms(0.5, p, 0.05).norms],
+    ids=["init", "uniform", "reduced", "gauss_lobatto_nodes", "legendre_eval",
+         "derivative_recurrence", "derivative_norms"])
 def test_degree_rule_rejects_non_integer_degree(make):
+    # a float degree raises instead of being truncated to 2
     with pytest.raises(TypeError):
         make(2.5)
     with pytest.raises(TypeError):
         make(2.9)
-    rule = make(np.int64(3))
-    assert rule.p == 3 and type(rule.p) is int
+    result = make(np.int64(3))
+    if isinstance(result, DegreeRule):
+        assert result.p == 3 and type(result.p) is int
+    else:
+        np.testing.assert_array_equal(result, make(3))
 
 
 def test_eval_piecewise_linear_interpolation():

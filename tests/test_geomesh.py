@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from frachp import build_geometric_mesh, element_of
+from frachp import (build_geometric_mesh, element_of,
+                    interpolation_error_study)
 
 
 def test_reference_nodes_sigma_half_two_layers():
@@ -76,6 +77,8 @@ def test_rejects_bad_arguments():
 def test_layer_count_must_be_an_integer():
     with pytest.raises(TypeError):
         build_geometric_mesh((-1, 1), 0.5, 2.5)
+    with pytest.raises(TypeError):
+        interpolation_error_study(0.5, 0.5, 2.5)
     mesh = build_geometric_mesh((-1, 1), 0.5, np.int64(3))
     assert mesh.layers == 3 and type(mesh.layers) is int
     np.testing.assert_array_equal(mesh.nodes,

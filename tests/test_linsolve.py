@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +33,40 @@ def test_identity_system():
 def test_not_spd_reported():
     with pytest.raises(NotSPDError):
         cholesky_solve(make_system([[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0]))
+    # the failing pivot lies in the second 64-column block
+    A = np.eye(150)
+    A[100, 100] = -1.0
+    with pytest.raises(NotSPDError, match=r"rows 64\.\.127"):
+        cholesky_solve(make_system(A, np.ones(150)))
+
+
+@pytest.mark.parametrize("where", ["A", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(where, bad):
+    # a NaN below the diagonal would pass a bare factorization and come out
+    # as a NaN energy
+    A, b = np.eye(3) * 2.0, np.ones(3)
+    if where == "A":
+        A[2, 0] = A[0, 2] = bad
+    else:
+        b[1] = bad
+    with pytest.raises(ValueError, match=f"^{where} has non-finite"):
+        cholesky_solve(make_system(A, b))
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the one runtime dependency; scipy is for the tests only
+    code = ("import sys\n"
+            "from frachp import DegreeRule, solve_problem\n"
+            "solve_problem(0.5, 0.6, 2, DegreeRule.uniform(2))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_rejects_inconsistent_shapes():

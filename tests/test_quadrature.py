@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from frachp.quadrature import _jacobi01, _rule01
+from frachp.quadrature import (_EIGH_MAX, _golub_welsch, _jacobi01,
+                               _jacobi_newton, _rule01)
 from oracles import oracle_weighted_pair_integral
 from pair_reference import pair_quadrature
 
@@ -59,6 +60,84 @@ def test_gauss_jacobi_rejects_bad_exponents():
         _jacobi01(0, 0.0, 0.0)
     with pytest.raises(ValueError):
         _rule01(0)
+
+
+# (exp0, exp1) of the weight t^exp0 (1-t)^exp1 as the package uses them:
+# identical pairs (1-2s, 1), adjacent pairs and the left boundary block of
+# the complement (2-2s, 0), the right one (0, 2-2s), and the one-sided
+# weights of `approx` (e, 0)
+_S = (0.02, 0.3, 0.5, 0.7, 0.98)
+RULE_EXPONENTS = ([(1.0 - 2.0 * s, 1.0) for s in _S]
+                  + [(2.0 - 2.0 * s, 0.0) for s in _S]
+                  + [(0.0, 2.0 - 2.0 * s) for s in _S]
+                  + [(e, 0.0) for e in (-0.98, -0.9, -0.5, 0.5, 0.9, 0.98)])
+RULE_IDS = [f"{e0:.2f},{e1:.2f}" for e0, e1 in RULE_EXPONENTS]
+
+
+@pytest.mark.parametrize("exp0, exp1", RULE_EXPONENTS, ids=RULE_IDS)
+def test_gauss_jacobi_moments(exp0, exp1):
+    # an n-point Gauss rule integrates t^k, k <= 2n - 1, exactly; the moments
+    # B(k + exp0 + 1, exp1 + 1) follow from B(exp0 + 1, exp1 + 1) by the
+    # ratio (k + exp0) / (k + exp0 + exp1 + 1), which keeps them to ~k ulp
+    for n in list(range(1, _EIGH_MAX + 1)) + [128, 256, 1024]:
+        t, w = _jacobi01(n, exp0, exp1)
+        assert t[0] > 0.0 and t[-1] < 1.0 and np.all(np.diff(t) > 0.0)
+        assert np.all(w > 0.0)
+        moment = beta(exp0 + 1.0, exp1 + 1.0)
+        tk = np.ones(n)
+        worst = 0.0
+        for k in range(2 * n):
+            worst = max(worst, abs(w @ tk / moment - 1.0))
+            tk *= t
+            moment *= (k + 1.0 + exp0) / (k + 2.0 + exp0 + exp1)
+        # scipy's roots_jacobi misses the n = 1024 moments by up to 1.8e-5
+        assert worst <= (1e-12 if n <= _EIGH_MAX else 1e-10), n
+
+
+@pytest.mark.parametrize("n", [_EIGH_MAX, _EIGH_MAX + 1])
+@pytest.mark.parametrize("exp0, exp1", RULE_EXPONENTS[::3], ids=RULE_IDS[::3])
+def test_gauss_jacobi_regimes_agree(n, exp0, exp1):
+    # the eigenvector rule and the Newton rule meet at the size switch
+    t_eig, w_eig = _golub_welsch(n, exp0, exp1)
+    t_newton, w_newton = _jacobi_newton(n, exp0, exp1)
+    np.testing.assert_allclose(t_newton, t_eig, rtol=0, atol=2e-15)
+    np.testing.assert_allclose(w_newton, w_eig, rtol=1e-12)
+
+
+def _mp_golub_welsch(n, exp0, exp1, mp):
+    """Golub-Welsch in mpmath: eigen-decomposition of the symmetric Jacobi
+    matrix of (1-x)^exp1 (1+x)^exp0 on (-1, 1), mapped to t = (x + 1) / 2."""
+    al, be = mp.mpf(exp1), mp.mpf(exp0)
+    J = mp.zeros(n, n)
+    for k in range(n):
+        s2 = 2 * k + al + be
+        if k == 0:
+            J[0, 0] = (be - al) / (al + be + 2)
+        else:
+            J[k, k] = (be * be - al * al) / (s2 * (s2 + 2))
+            b2 = (4 * k * (k + al) * (k + be) * (k + al + be)
+                  / (s2 * s2 * (s2 + 1) * (s2 - 1)))
+            J[k, k - 1] = J[k - 1, k] = mp.sqrt(b2)
+    if n > 1:  # k = 1 with the factor (1 + al + be) cancelled
+        J[1, 0] = J[0, 1] = mp.sqrt(4 * (1 + al) * (1 + be)
+                                    / ((2 + al + be) ** 2 * (3 + al + be)))
+    x, V = mp.eigsy(J)
+    mass = mp.beta(be + 1, al + 1)
+    order = sorted(range(n), key=lambda i: x[i])
+    return (np.array([float((x[i] + 1) / 2) for i in order]),
+            np.array([float(mass * V[0, i] ** 2) for i in order]))
+
+
+@pytest.mark.parametrize("n, exp0, exp1", [(12, -0.96, 1.0), (40, -0.96, 1.0),
+                                           (40, -0.9, 0.0)])
+def test_gauss_jacobi_weights_against_mpmath(n, exp0, exp1):
+    # scipy's roots_jacobi is 3.4e-11 and 6.8e-12 off on the two n = 40 cases
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        t_ref, w_ref = _mp_golub_welsch(n, exp0, exp1, mp)
+    t, w = _jacobi01(n, exp0, exp1)
+    np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-12)
 
 
 def test_identical_constant_s_half():
