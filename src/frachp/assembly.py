@@ -23,8 +23,11 @@ i < j) with the schemes of the quadrature module, batched per pair class:
   the block factors into S_x diag(K 1) S_x^T, -S_x K S_z^T (and its
   transpose) and S_z diag(K^T 1) S_z^T, with K the kernel weights and S
   the shape tables, which depend on neither the element nor s and are
-  cached across calls.  Pairs are batched per row i and point count, so a
-  batch holds at most one pair per element.
+  cached across calls.  Pairs are batched over the whole mesh per degree
+  pair (p_i, p_j) and point count n, in chunks of a fixed number of kernel
+  entries; each chunk scatters its cross blocks and adds the row and column
+  sums of K to per-element weights, which give one self block per element
+  and (p, n) after the loop.
 
 Blocks are added with np.add.at, the rows and columns of constrained
 endpoint dofs dropped, into the lower triangle, mirrored once at the end.
@@ -43,6 +46,7 @@ the element table of the dof map, which also carries the mesh.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,6 +85,15 @@ def kernel_constant(s):
     return math.exp(log_c) * math.sin(math.pi * s) / math.pi ** 1.5
 
 
+def _check_offset(quad_offset):
+    """quad_offset as an int; 2.5 raises TypeError, a negative one
+    ValueError."""
+    quad_offset = operator.index(quad_offset)
+    if quad_offset < 0:
+        raise ValueError(f"quad_offset must be nonnegative, got {quad_offset}")
+    return quad_offset
+
+
 def complement_weight(domain, s, x):
     """kappa(x) = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s) for interior x."""
     _check_s(s)
@@ -104,6 +117,12 @@ def _gauss_shapes(p, n):
     table = _shape_matrix(p, 2.0 * t - 1.0)
     table.flags.writeable = False
     return table
+
+
+# kernel entries per disjoint batch: enough to amortise the per-batch numpy
+# calls, small enough that K and its temporaries (128 kB each) leave the peak
+# RSS of a study where the per-row batches left it; 2^15 raised it by 0.2 MB
+_CHUNK = 1 << 14
 
 
 def _scatter(A, rows, cols, blocks):
@@ -176,38 +195,48 @@ def _adjacent_blocks(A, dm, s, quad_offset):
 
 
 def _disjoint_blocks(A, dm, s, quad_offset):
-    """T_i x T_j for j >= i + 2, twice, batched per row i and point count.
+    """T_i x T_j for j >= i + 2, twice, batched over the whole mesh per
+    degree pair and point count, in chunks of _CHUNK kernel entries.
 
     On a tensor Gauss rule the kernel weights K_ab = h_i h_j w_a w_b
     |x_a - z_b|^(-1-2s) factor the block into S_x diag(K 1) S_x^T,
-    -S_x K S_z^T (and its transpose) and S_z diag(K^T 1) S_z^T.
+    -S_x K S_z^T (and its transpose) and S_z diag(K^T 1) S_z^T.  The cross
+    blocks are scattered per chunk; the row and column sums of K are added
+    up per element and point count, so each element gets one self block
+    per (p, n).
     """
     ne = len(dm.h)
-    for i in range(ne - 2):
-        js = np.arange(i + 2, ne)
-        pi = int(dm.degrees[i])
-        pj = dm.degrees[js]
-        n = _disjoint_n(np.maximum(pi, pj) + quad_offset, dm.h[i], dm.h[js],
-                        dm.lo[js] - dm.hi[i])
-        gx = dm.elem_dofs[i]
-        own = np.zeros((pi + 1, pi + 1))
-        for p, nq in sorted(set(zip(pj.tolist(), n.tolist()))):
-            sel = js[(pj == p) & (n == nq)]
-            t, wt = _rule01(nq)
-            x = dm.lo[i] + dm.h[i] * t
-            z = dm.lo[sel, None] + dm.h[sel, None] * t
-            K = z[:, None, :] - x[:, None]
+    i, j = np.triu_indices(ne, 2)
+    pi, pj = dm.degrees[i], dm.degrees[j]
+    n = _disjoint_n(np.maximum(pi, pj) + quad_offset, dm.h[i], dm.h[j],
+                    dm.lo[j] - dm.hi[i])
+    sums = {}  # (p, n) -> per-element, per-point sums of K
+    for p, q, nq in sorted(set(zip(pi.tolist(), pj.tolist(), n.tolist()))):
+        pairs = np.flatnonzero((pi == p) & (pj == q) & (n == nq))
+        t, wt = _rule01(nq)
+        sx, sz = _gauss_shapes(p, nq), _gauss_shapes(q, nq)
+        wx = sums.setdefault((p, nq), np.zeros((ne, nq)))
+        wz = sums.setdefault((q, nq), np.zeros((ne, nq)))
+        ones = np.ones(nq)  # K @ ones is several times faster than K.sum
+        step = max(1, _CHUNK // nq ** 2)
+        for c in range(0, len(pairs), step):
+            ix, jz = i[pairs[c:c + step]], j[pairs[c:c + step]]
+            x = dm.lo[ix, None] + dm.h[ix, None] * t
+            z = dm.lo[jz, None] + dm.h[jz, None] * t
+            K = z[:, None, :] - x[:, :, None]
             np.power(K, -1.0 - 2.0 * s, out=K)
-            K *= (dm.h[i] * dm.h[sel])[:, None, None] * np.outer(wt, wt)
-            sx, sz = _gauss_shapes(pi, nq), _gauss_shapes(p, nq)
-            own += (sx * K.sum(axis=(0, 2))) @ sx.T
+            K *= (dm.h[ix] * dm.h[jz])[:, None, None] * np.outer(wt, wt)
+            np.add.at(wx, ix, K @ ones)
+            np.add.at(wz, jz, ones @ K)
             cross = -2.0 * (sx @ K) @ sz.T
-            gz = dm.dofs(sel)
-            gxs = np.broadcast_to(gx, (len(sel), pi + 1))
-            _scatter(A, gxs, gz, cross)
-            _scatter(A, gz, gxs, cross.swapaxes(1, 2))
-            _scatter(A, gz, gz, 2.0 * (sz * K.sum(axis=1)[:, None, :]) @ sz.T)
-        _scatter(A, gx[None], gx[None], 2.0 * own[None])
+            gx, gz = dm.dofs(ix), dm.dofs(jz)
+            _scatter(A, gx, gz, cross)
+            _scatter(A, gz, gx, cross.swapaxes(1, 2))
+    for (p, nq), w in sums.items():
+        es = np.flatnonzero(w.any(axis=1))
+        sx = _gauss_shapes(p, nq)
+        g = dm.dofs(es)
+        _scatter(A, g, g, 2.0 * (sx * w[es, None, :]) @ sx.T)
 
 
 def _complement_blocks(dm, s, quad_offset):
@@ -257,6 +286,7 @@ def assemble(dofmap, s, quad_offset=6):
     """
     _check_s(s)
     s = float(s)
+    quad_offset = _check_offset(quad_offset)
     N = dofmap.n_dofs
     A = np.zeros((N, N))
     _identical_blocks(A, dofmap, s, quad_offset)
@@ -280,6 +310,7 @@ def assemble_load(f, dofmap, quad_offset=6):
 
     f is called once per degree on a 1-D array of points.
     """
+    quad_offset = _check_offset(quad_offset)
     b = np.zeros(dofmap.n_dofs)
     for p in np.unique(dofmap.degrees).tolist():
         es = np.flatnonzero(dofmap.degrees == p)

@@ -112,6 +112,7 @@ def test_criterion_2_reduced_rule(reduced_study):
                   "; ".join(details)), "criterion 2"
 
 
+@pytest.mark.slow
 def test_criterion_3_quadrature_oracle_equivalence():
     mesh = build_geometric_mesh((-1, 1), SIGMA, 1)
     worst = 0.0

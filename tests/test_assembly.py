@@ -6,9 +6,10 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+import frachp.assembly as assembly_mod
 from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
                     build_geometric_mesh, cholesky_solve, complement_weight,
-                    kernel_constant)
+                    kernel_constant, solve_problem)
 from frachp.assembly import _complement_blocks
 from frachp.basis import _shape_matrix
 from frachp.quadrature import _rule01
@@ -81,8 +82,6 @@ def test_symmetry_exact():
 def test_scaling_linearity_in_kernel_constant(monkeypatch):
     # entries are proportional to C(s): doubling the constant doubles every
     # entry exactly (scaling by 2 is exact in binary floating point)
-    import frachp.assembly as assembly_mod
-
     mesh = build_geometric_mesh((-1, 1), 0.5, 1)
     dm = build_dof_map(mesh, DegreeRule.uniform(1))
     A = assemble(dm, 0.4).stiffness
@@ -158,6 +157,37 @@ def test_batched_assembly_matches_per_pair(kind, s, L):
         A = assemble(dm, s, quad_offset=quad_offset).stiffness
         ref = per_pair_stiffness(mesh, dm, s, quad_offset)
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(A).max()
+
+
+@pytest.mark.parametrize("s", [0.02, 0.5, 0.98])
+@pytest.mark.parametrize("kind, L", [("reduced", 6), ("uniform", 10)])
+def test_disjoint_chunking_changes_nothing(monkeypatch, kind, s, L):
+    # a chunk of one kernel entry puts one pair in each batch; the self
+    # terms are then summed per element in another order
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
+                       DegreeRule(kind, L + 2))
+    A = assemble(dm, s).stiffness
+    monkeypatch.setattr(assembly_mod, "_CHUNK", 1)
+    per_pair = assemble(dm, s).stiffness
+    assert np.abs(A - per_pair).max() <= 1e-15 * np.abs(A).max()
+
+
+@pytest.mark.parametrize("call", [
+    lambda dm, q: assemble(dm, 0.5, quad_offset=q),
+    lambda dm, q: assemble_load(np.ones_like, dm, quad_offset=q),
+    lambda dm, q: solve_problem(0.5, 0.6, 2, DegreeRule.uniform(2),
+                                quad_offset=q),
+], ids=["assemble", "assemble_load", "solve_problem"])
+def test_quad_offset_validated(call):
+    # 2.5 is not truncated to 2, and a negative offset does not silently
+    # shrink the rules (at -1 and p = 2 they have one point)
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, 2),
+                       DegreeRule.uniform(2))
+    with pytest.raises(TypeError):
+        call(dm, 2.5)
+    with pytest.raises(ValueError, match="quad_offset"):
+        call(dm, -1)
+    call(dm, np.int64(0))
 
 
 @pytest.mark.parametrize("s", [0.02, 0.3, 0.7, 0.98])
@@ -288,17 +318,19 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
 
 
 def test_assembly_peak_memory_one_mirror_temporary():
-    # the matrix, one N x N temporary for the mirror, and small batches
-    mesh = build_geometric_mesh((-1, 1), 0.6, 14)
-    dm = build_dof_map(mesh, DegreeRule.uniform(14))
-    assemble(dm, 0.5)  # warm the shape-table caches
-    tracemalloc.start()
-    try:
-        assemble(dm, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * 8 * dm.n_dofs ** 2
+    # the matrix, one N x N temporary for the mirror, and small batches:
+    # the disjoint chunks must stay small on the largest mesh too
+    for L in (14, 24):
+        mesh = build_geometric_mesh((-1, 1), 0.6, L)
+        dm = build_dof_map(mesh, DegreeRule.uniform(L))
+        assemble(dm, 0.5)  # warm the shape-table caches
+        tracemalloc.start()
+        try:
+            assemble(dm, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * dm.n_dofs ** 2, L
 
 
 def test_galerkin_system_is_frozen():
