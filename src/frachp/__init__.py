@@ -8,16 +8,14 @@ to study the exponential convergence of the method.
 
 from .approx import (DerivativeNormSequence, DerivativeRecurrence,
                      DivergentIntegralError, InterpolationBoundResult,
-                     WeightedNormSpec, build_hp_interpolant,
-                     endpoint_interpolation_check, gauss_lobatto_interpolant,
-                     interpolant_weighted_error, interpolation_error_study,
-                     linear_endpoint_interpolant, linear_interpolant_half_one,
-                     weighted_derivative_norms, weighted_h1_norm)
+                     build_hp_interpolant, endpoint_interpolation_check,
+                     gauss_lobatto_interpolant, interpolant_weighted_error,
+                     interpolation_error_study, linear_endpoint_interpolant,
+                     weighted_derivative_norms)
 from .assembly import (GalerkinSystem, assemble, assemble_load,
                        complement_weight, kernel_constant)
 from .basis import (DegreeRule, DofMap, build_dof_map, eval_fem_derivative,
-                    eval_fem_function, gauss_lobatto_nodes, legendre_eval,
-                    shape_deriv, shape_eval)
+                    eval_fem_function, gauss_lobatto_nodes)
 from .geomesh import GeometricMesh, build_geometric_mesh, element_of
 from .linsolve import NotSPDError, Solution, cholesky_solve
 from .postproc import (ConvergenceRecord, EnergyGapError, convergence_study,

@@ -26,11 +26,10 @@ from .postproc import exact_solution, solution_constant
 from .quadrature import _jacobi01, _rule01
 
 __all__ = [
-    "WeightedNormSpec", "DerivativeRecurrence", "DivergentIntegralError",
-    "InterpolationBoundResult", "DerivativeNormSequence", "weighted_h1_norm",
-    "linear_endpoint_interpolant", "linear_interpolant_half_one",
-    "endpoint_interpolation_check", "gauss_lobatto_interpolant",
-    "build_hp_interpolant",
+    "DerivativeRecurrence", "DivergentIntegralError",
+    "InterpolationBoundResult", "DerivativeNormSequence",
+    "linear_endpoint_interpolant", "endpoint_interpolation_check",
+    "gauss_lobatto_interpolant", "build_hp_interpolant",
     "weighted_derivative_norms", "interpolant_weighted_error",
     "interpolation_error_study",
 ]
@@ -43,27 +42,13 @@ class DivergentIntegralError(RuntimeError):
     """Raised when a weighted integral fails to stabilize under refinement."""
 
 
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    """Parameters of the boundary-weighted H^1 norm."""
-
-    beta_prime: float
-    epsilon: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta_prime < 1.0:
-            raise ValueError(f"beta_prime must lie in [0, 1), got {self.beta_prime}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-
-def _stabilized_integral(g, interval, singular_end, exponent,
-                         n_start=32, n_max=1024, rtol=1e-9):
+def _stabilized_integral(g, interval, singular_end, exponent):
     """int over `interval` of dist(x, singular end)^exponent * g(x) dx.
 
-    Gauss-Jacobi with the weight factored out; doubles the point count until
-    two successive values agree to rtol.  Slow but settling sequences get a
-    single Aitken step; growing ones raise DivergentIntegralError.
+    Gauss-Jacobi with the weight factored out; doubles the point count from
+    32 up to 1024 until two successive values agree to 1e-9 relative.  Slow
+    but settling sequences get a single Aitken step; growing ones raise
+    DivergentIntegralError.
     """
     if exponent <= -1.0:
         raise DivergentIntegralError(
@@ -71,7 +56,7 @@ def _stabilized_integral(g, interval, singular_end, exponent,
     a, b = interval
     h = b - a
     vals = []
-    n = n_start
+    n, n_max, rtol = 32, 1024, 1e-9
     while True:
         if singular_end == "left":
             t, w = _weighted_rule(n, exponent, 0.0)
@@ -96,47 +81,10 @@ def _stabilized_integral(g, interval, singular_end, exponent,
         "the integrand appears non-integrable")
 
 
-def weighted_h1_norm(v, dv, spec, domain=(0.0, 1.0)):
-    """Boundary-weighted H^1 norm sqrt(int r^2b' (v')^2 + int r^(2b'-2) v^2).
-
-    r is the distance to the domain boundary; the domain is split at its
-    midpoint so each half carries a single singular endpoint.  v and dv are
-    callables accepting arrays.  Raises DivergentIntegralError when the
-    zero-order term diverges (v not vanishing fast enough at an endpoint).
-    """
-    a, b = float(domain[0]), float(domain[1])
-    if not a < b:
-        raise ValueError("domain must be a nondegenerate interval")
-    bp = spec.beta_prime
-    mid = 0.5 * (a + b)
-    total = 0.0
-    for (lo, hi), end in (((a, mid), "left"), ((mid, b), "right")):
-        dist = (lambda x: x - a) if end == "left" else (lambda x: b - x)
-        total += _stabilized_integral(
-            lambda x: np.asarray(dv(x), dtype=float) ** 2,
-            (lo, hi), end, 2.0 * bp)
-        if bp > 0.5:
-            total += _stabilized_integral(
-                lambda x: np.asarray(v(x), dtype=float) ** 2,
-                (lo, hi), end, 2.0 * bp - 2.0)
-        else:
-            total += _stabilized_integral(
-                lambda x: (np.asarray(v(x), dtype=float) / dist(x)) ** 2,
-                (lo, hi), end, 2.0 * bp)
-    return math.sqrt(total)
-
-
 def linear_endpoint_interpolant(v):
     """Linear interpolant of v at the endpoints of [0, 1]."""
     v0, v1 = float(v(0.0)), float(v(1.0))
     return Polynomial([v0, v1 - v0])
-
-
-def linear_interpolant_half_one(v):
-    """Linear interpolant of v at the points 1/2 and 1."""
-    vh, v1 = float(v(0.5)), float(v(1.0))
-    slope = 2.0 * (v1 - vh)
-    return Polynomial([v1 - slope, slope])
 
 
 @dataclass(frozen=True)
@@ -153,8 +101,11 @@ def endpoint_interpolation_check(v, dv, d2v, beta_prime, epsilon):
     lhs = ||x^(b'-1) e|| + ||x^b' e'||  with  e = v - Iv,
     rhs = ||x^min(b'+1, 3/2-eps) v''||.
     """
-    spec = WeightedNormSpec(beta_prime, epsilon)  # validates the parameters
-    bp, eps = spec.beta_prime, spec.epsilon
+    if not 0.0 <= beta_prime < 1.0:
+        raise ValueError(f"beta_prime must lie in [0, 1), got {beta_prime}")
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    bp, eps = beta_prime, epsilon
     iv = linear_endpoint_interpolant(v)
     slope = iv.coef[1] if len(iv.coef) > 1 else 0.0
 
@@ -206,8 +157,10 @@ def build_hp_interpolant(u, dofmap):
         raise ValueError("interpolated function must vanish at the domain "
                          "endpoints")
     coeffs = np.zeros(dofmap.n_dofs)
-    for lo, h, g in zip(dofmap.lo, dofmap.h, dofmap.elem_dofs):
-        x = lo + 0.5 * h * (gauss_lobatto_nodes(len(g) - 1) + 1.0)
+    for lo, h, p, row in zip(dofmap.lo, dofmap.h, dofmap.degrees.tolist(),
+                             dofmap.table):
+        g = row[:p + 1]
+        x = lo + 0.5 * h * (gauss_lobatto_nodes(p) + 1.0)
         coeffs[g[g >= 0]] = np.asarray(u(x), dtype=float)[g >= 0]
     return coeffs
 

@@ -22,21 +22,9 @@ import numpy as np
 from .geomesh import GeometricMesh, element_of
 
 __all__ = [
-    "DegreeRule", "DofMap", "gauss_lobatto_nodes", "legendre_eval",
-    "shape_eval", "shape_deriv", "build_dof_map", "eval_fem_function",
-    "eval_fem_derivative",
+    "DegreeRule", "DofMap", "gauss_lobatto_nodes", "build_dof_map",
+    "eval_fem_function", "eval_fem_derivative",
 ]
-
-
-def legendre_eval(n, x):
-    """Legendre polynomial P_n(x) via the three-term recurrence."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x)[()]
-    return _legendre_pair(n, x)[0][()]
 
 
 def _legendre_pair(n, x):
@@ -121,22 +109,6 @@ def _shape_deriv_matrix(p, t):
     return _diff_matrix(p).T @ _shape_matrix(p, t)
 
 
-def shape_eval(p, k, t):
-    """k-th Lagrange cardinal function of degree p at t in [-1, 1]."""
-    if not 0 <= k <= p:
-        raise ValueError(f"local index {k} out of range 0..{p}")
-    vals = _shape_matrix(p, t)[k]
-    return float(vals[0]) if np.ndim(t) == 0 else vals
-
-
-def shape_deriv(p, k, t):
-    """Derivative of the k-th cardinal function of degree p at t."""
-    if not 0 <= k <= p:
-        raise ValueError(f"local index {k} out of range 0..{p}")
-    vals = _shape_deriv_matrix(p, t)[k]
-    return float(vals[0]) if np.ndim(t) == 0 else vals
-
-
 @dataclass(frozen=True)
 class DegreeRule:
     """Per-element degree assignment.
@@ -179,29 +151,29 @@ class DofMap:
 
     table[e, k] is the global index of local shape k on element e (0-based
     element, local 0 = left vertex, local p_e = right vertex), -1 for a
-    constrained endpoint dof and for the padding past p_e; elem_dofs[e] is
-    row e trimmed to its p_e + 1 entries.
+    constrained endpoint dof and for the padding past p_e, so element e
+    reads table[e, :degrees[e] + 1].
 
-    lo and hi are the element bounds, and h = hi - lo is the difference of
-    the stored nodes, not mesh.lengths: the finite element space lives on
-    these nodes.  The node differences drift from the grading formula by up
-    to 3.4e-12 relative (sigma = 0.17, L = 6 on (-2, 3)) and 1.6e-11 at
-    L = 24, so h from lengths would disagree with lo, hi and move energies.
+    lo and hi are the element bounds and h = hi - lo: the finite element
+    space lives on the stored mesh nodes.
     """
 
     mesh: GeometricMesh
     degrees: np.ndarray
     n_dofs: int
     table: np.ndarray
-    elem_dofs: tuple
     lo: np.ndarray
     hi: np.ndarray
     h: np.ndarray
 
     def dofs(self, es):
-        """Stacked dof rows of elements es, which share one degree."""
+        """Stacked dof rows of elements es, which must share one degree."""
         es = np.asarray(es)
-        return self.table[es, :self.degrees[es[0]] + 1]
+        p = self.degrees[es]
+        if (p != p[0]).any():
+            raise ValueError("dofs needs elements of one degree, got degrees "
+                             f"{np.unique(p).tolist()}")
+        return self.table[es, :p[0] + 1]
 
 
 def build_dof_map(mesh, rule):
@@ -222,8 +194,6 @@ def build_dof_map(mesh, rule):
     h = np.diff(mesh.nodes)
     h.flags.writeable = False
     return DofMap(mesh=mesh, degrees=degrees, n_dofs=n_dofs, table=table,
-                  elem_dofs=tuple(table[e, :p + 1]
-                                  for e, p in enumerate(degrees.tolist())),
                   lo=mesh.nodes[:-1], hi=mesh.nodes[1:], h=h)
 
 
@@ -243,7 +213,7 @@ def _lobatto_eval(values, lo, hi, x, derivative=False):
 
 def _element_eval(dofmap, coeffs, e, x, derivative=False):
     """Evaluate the FEM function (or derivative) at points x inside element e."""
-    g = dofmap.elem_dofs[e]
+    g = dofmap.table[e, :dofmap.degrees[e] + 1]
     return _lobatto_eval(np.where(g >= 0, coeffs[g], 0.0), dofmap.lo[e],
                          dofmap.hi[e], x, derivative)
 

@@ -26,8 +26,8 @@ __all__ = ["GeometricMesh", "build_geometric_mesh", "element_of"]
 class GeometricMesh:
     """Graded partition of [a, b]; immutable once built.
 
-    Element indices are 1-based throughout the public interface, matching
-    the convention that element i is the interval (nodes[i-1], nodes[i]).
+    Element i is the interval (nodes[i-1], nodes[i]), i = 1..2L+2; element_of
+    returns these 1-based indices.
     """
 
     a: float
@@ -35,35 +35,10 @@ class GeometricMesh:
     sigma: float
     layers: int
     nodes: np.ndarray
-    # element lengths from the grading formula (no node differencing, so the
-    # boundary lengths are (b-a)/2 * sigma^L to full relative precision)
-    lengths: np.ndarray
-    comparability: float  # K(sigma): diam ~ dist constant for interior elements
-
-    @property
-    def domain(self):
-        return (self.a, self.b)
 
     @property
     def n_elements(self):
         return 2 * self.layers + 2
-
-    def element(self, i):
-        """Endpoints (x_{i-1}, x_i) of element i, i = 1..2L+2."""
-        if not 1 <= i <= self.n_elements:
-            raise ValueError(f"element index {i} out of range 1..{self.n_elements}")
-        return float(self.nodes[i - 1]), float(self.nodes[i])
-
-    def element_length(self, i):
-        if not 1 <= i <= self.n_elements:
-            raise ValueError(f"element index {i} out of range 1..{self.n_elements}")
-        return float(self.lengths[i - 1])
-
-    @property
-    def elements(self):
-        """All element intervals in order, as (left, right) pairs."""
-        return [(float(self.nodes[i]), float(self.nodes[i + 1]))
-                for i in range(self.n_elements)]
 
 
 def build_geometric_mesh(domain, sigma, layers):
@@ -102,18 +77,7 @@ def build_geometric_mesh(domain, sigma, layers):
         nodes[layers + 1 + m] = b - half * powers[m]
     nodes[2 * layers + 2] = b
     nodes.flags.writeable = False
-
-    lengths = np.empty(2 * layers + 2)
-    lengths[0] = half * powers[layers]
-    for e in range(1, layers + 1):
-        lengths[e] = half * powers[layers - e] * (1.0 - sigma)
-    lengths[layers + 1:] = lengths[layers::-1]
-    lengths.flags.writeable = False
-
-    ratio = (1.0 - sigma) / sigma
-    comparability = max(ratio, 1.0 / ratio)
-    return GeometricMesh(a=a, b=b, sigma=sigma, layers=layers, nodes=nodes,
-                         lengths=lengths, comparability=comparability)
+    return GeometricMesh(a=a, b=b, sigma=sigma, layers=layers, nodes=nodes)
 
 
 def element_of(mesh, x):

@@ -101,13 +101,14 @@ def oracle_weighted_pair_integral(coef_xz, T1, T2, s, epsabs=1e-12):
 def _pair_basis_polys(mesh, dofmap, i, j):
     """global dof -> (polynomial on T_i, polynomial on T_j) for the pair."""
     zero = Poly([0.0])
-    polys1 = lagrange_polys(int(dofmap.degrees[i - 1]), mesh.element(i))
-    polys2 = lagrange_polys(int(dofmap.degrees[j - 1]), mesh.element(j))
+    p1, p2 = int(dofmap.degrees[i - 1]), int(dofmap.degrees[j - 1])
+    polys1 = lagrange_polys(p1, mesh.nodes[i - 1:i + 1])
+    polys2 = lagrange_polys(p2, mesh.nodes[j - 1:j + 1])
     funcs = {}
-    for k, g in enumerate(dofmap.elem_dofs[i - 1]):
+    for k, g in enumerate(dofmap.table[i - 1, :p1 + 1]):
         if g >= 0:
             funcs[int(g)] = [polys1[k], zero]
-    for k, g in enumerate(dofmap.elem_dofs[j - 1]):
+    for k, g in enumerate(dofmap.table[j - 1, :p2 + 1]):
         if g >= 0:
             funcs.setdefault(int(g), [zero, zero])[1] = polys2[k]
     return funcs
@@ -125,7 +126,7 @@ def oracle_stiffness(mesh, dofmap, s, epsabs=1e-12):
         for j in range(i, ne + 1):
             funcs = _pair_basis_polys(mesh, dofmap, i, j)
             gs = sorted(funcs)
-            T1, T2 = mesh.element(i), mesh.element(j)
+            T1, T2 = mesh.nodes[i - 1:i + 1], mesh.nodes[j - 1:j + 1]
             for ki_idx, gk in enumerate(gs):
                 pk1, pk2 = funcs[gk]
                 for gl in gs[ki_idx:]:
@@ -143,9 +144,10 @@ def oracle_stiffness(mesh, dofmap, s, epsabs=1e-12):
     a, b = mesh.a, mesh.b
     two_s = 2.0 * s
     for e in range(ne):
-        lo, hi = mesh.element(e + 1)
-        polys = lagrange_polys(int(dofmap.degrees[e]), (lo, hi))
-        g = dofmap.elem_dofs[e]
+        lo, hi = mesh.nodes[e:e + 2]
+        p = int(dofmap.degrees[e])
+        polys = lagrange_polys(p, (lo, hi))
+        g = dofmap.table[e, :p + 1]
         keep = [k for k in range(len(g)) if g[k] >= 0]
         for a_idx, k in enumerate(keep):
             for l in keep[a_idx:]:

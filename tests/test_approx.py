@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from frachp import (DegreeRule, DivergentIntegralError, WeightedNormSpec,
+from frachp import (DegreeRule, DivergentIntegralError,
                     build_dof_map, build_geometric_mesh,
                     build_hp_interpolant, eval_fem_function,
                     exact_solution, gauss_lobatto_interpolant, endpoint_interpolation_check,
-                    linear_endpoint_interpolant, weighted_derivative_norms,
-                    linear_interpolant_half_one, weighted_h1_norm)
+                    linear_endpoint_interpolant, weighted_derivative_norms)
 from frachp.approx import DerivativeRecurrence, interpolant_weighted_error
 
 ONES = lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -17,37 +16,45 @@ ZEROS = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
 
 def test_weighted_norm_spec_validation():
-    with pytest.raises(ValueError):
-        WeightedNormSpec(1.0)
-    with pytest.raises(ValueError):
-        WeightedNormSpec(-0.1)
-    with pytest.raises(ValueError):
-        WeightedNormSpec(0.3, epsilon=0.0)
+    # beta' outside [0, 1) and a nonpositive epsilon are refused
+    for bp, eps, msg in ((1.0, 0.05, "beta_prime must lie in"),
+                         (-0.1, 0.05, "beta_prime must lie in"),
+                         (0.3, 0.0, "epsilon must be positive")):
+        with pytest.raises(ValueError, match=msg):
+            endpoint_interpolation_check(ZEROS, ZEROS, ZEROS, bp, eps)
 
 
 def test_weighted_h1_norm_zero_function():
-    assert weighted_h1_norm(ZEROS, ZEROS, WeightedNormSpec(0.3)) == 0.0
+    r = endpoint_interpolation_check(ZEROS, ZEROS, ZEROS, 0.3, 0.05)
+    assert r.lhs == r.rhs == r.ratio == 0.0
 
 
 def test_weighted_h1_norm_divergence_detected():
-    # v(x) = x does not vanish at the right endpoint: the zero-order term
-    # behaves like (1-x)^-2 near 1, not integrable
+    # v'' = x^-1.5 at beta' = 0: the weighted second-derivative norm
+    # integrates x^2 * x^-3 = 1/x near 0, which diverges
     with pytest.raises(DivergentIntegralError):
-        weighted_h1_norm(lambda x: np.asarray(x, float), ONES,
-                         WeightedNormSpec(0.0))
+        endpoint_interpolation_check(ZEROS, ZEROS, lambda x: x ** -1.5,
+                                     0.0, 0.05)
 
 
 def test_weighted_h1_norm_against_adaptive_oracle():
     v = lambda x: x * (1 - x)
     dv = lambda x: 1 - 2 * np.asarray(x, float)
+    d2v = lambda x: -2.0 * np.ones_like(np.asarray(x, float))
+    eps = 0.05
     for bp in (0.0, 0.3, 0.5, 0.7):
-        got = weighted_h1_norm(v, dv, WeightedNormSpec(bp))
-        r = lambda x: np.minimum(x, 1 - x)
-        t1 = integrate.quad(lambda x: r(x) ** (2 * bp) * dv(x) ** 2, 0, 1,
-                            points=[0.5], epsabs=1e-14, limit=200)[0]
-        t2 = integrate.quad(lambda x: r(x) ** (2 * bp - 2) * v(x) ** 2, 0, 1,
-                            points=[0.5], epsabs=1e-14, limit=200)[0]
-        assert got == pytest.approx(math.sqrt(t1 + t2), rel=1e-8)
+        got = endpoint_interpolation_check(v, dv, d2v, bp, eps)
+        # v vanishes at 0 and 1, so its endpoint interpolant is 0
+        t1 = integrate.quad(lambda x: x ** (2 * bp - 2) * v(x) ** 2, 0, 1,
+                            epsabs=1e-14, limit=200)[0]
+        t2 = integrate.quad(lambda x: x ** (2 * bp) * dv(x) ** 2, 0, 1,
+                            epsabs=1e-14, limit=200)[0]
+        m = min(bp + 1.0, 1.5 - eps)
+        t3 = integrate.quad(lambda x: x ** (2 * m) * d2v(x) ** 2, 0, 1,
+                            epsabs=1e-14, limit=200)[0]
+        assert got.lhs == pytest.approx(math.sqrt(t1) + math.sqrt(t2),
+                                        rel=1e-8)
+        assert got.rhs == pytest.approx(math.sqrt(t3), rel=1e-8)
 
 
 def test_linear_endpoint_interpolant():
@@ -60,13 +67,13 @@ def test_linear_endpoint_interpolant():
 
 
 def test_linear_interpolant_half_one():
-    p = linear_interpolant_half_one(lambda x: 2.0 - x)
+    # the linear interpolant at 1/2 and 1, evaluated on all of [0, 1]
     xs = np.linspace(0, 1, 5)
-    np.testing.assert_allclose(p(xs), 2.0 - xs, atol=1e-14)
-    np.testing.assert_allclose(linear_interpolant_half_one(lambda x: x ** 2).coef, [-0.5, 1.5],
-                               atol=1e-14)
-    np.testing.assert_allclose(linear_interpolant_half_one(lambda x: (1 - x) ** 2).coef,
-                               [0.5, -0.5], atol=1e-14)
+    for v, want in ((lambda x: 2.0 - x, 2.0 - xs),
+                    (lambda x: x ** 2, -0.5 + 1.5 * xs),
+                    (lambda x: (1 - x) ** 2, 0.5 - 0.5 * xs)):
+        p = gauss_lobatto_interpolant(v, (0.5, 1.0), 1)
+        np.testing.assert_allclose(p(xs), want, rtol=0, atol=1e-14)
 
 
 def test_interpolation_bound_linear_input_gives_zero_lhs():

@@ -119,10 +119,11 @@ def per_pair_stiffness(mesh, dm, s, quad_offset):
     (against a long-double evaluation), more than the tolerance below."""
     ne, N = mesh.n_elements, dm.n_dofs
     A = np.zeros((N + 1, N + 1))
-    dofs = [np.where(g >= 0, g, N) for g in dm.elem_dofs]
     p = [int(q) for q in dm.degrees]
+    dofs = [np.where(row[:q + 1] >= 0, row[:q + 1], N)
+            for row, q in zip(dm.table, p)]
     for i, j in itertools.combinations_with_replacement(range(ne), 2):
-        pair, scale = (mesh.elements[i], mesh.elements[j]), 2.0
+        pair, scale = ((dm.lo[i], dm.hi[i]), (dm.lo[j], dm.hi[j])), 2.0
         if i == j:
             h = pair[0][1] - pair[0][0]
             pair, scale = ((0.0, 1.0), (0.0, 1.0)), h ** (1.0 - 2.0 * s)
@@ -255,7 +256,7 @@ def test_load_vector_antisymmetric_for_odd_f():
     for e in range(E):
         p = int(dm.degrees[e])
         for k in range(1, p):
-            perm[dm.elem_dofs[e][k]] = dm.elem_dofs[E - 1 - e][p - k]
+            perm[dm.table[e, k]] = dm.table[E - 1 - e, p - k]
     np.testing.assert_allclose(b + b[perm], 0.0, atol=1e-15)
 
 
@@ -272,11 +273,11 @@ def test_load_rejects_non_finite_f():
 def per_element_load(f, mesh, dm, quad_offset=6):
     """Load vector from a loop over elements at physical Gauss points."""
     b = np.zeros(dm.n_dofs)
-    for e, (lo, hi) in enumerate(mesh.elements):
+    for e, (lo, hi) in enumerate(zip(dm.lo, dm.hi)):
         p = int(dm.degrees[e])
         t, w = _rule01(p + quad_offset)
         x = lo + (hi - lo) * t
-        g = dm.elem_dofs[e]
+        g = dm.table[e, :p + 1]
         keep = g >= 0
         vals = _shape_matrix(p, 2.0 * (x - lo) / (hi - lo) - 1.0)[keep]
         b[g[keep]] += vals @ (w * (hi - lo) * f(x))
@@ -310,7 +311,7 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
                 if e in sums:
                     sums[e] = sums[e] + local
     for e in ends:
-        keep = dm.elem_dofs[e] >= 0
+        keep = dm.table[e, :dm.degrees[e] + 1] >= 0
         active = np.ix_(keep, keep)
         ref = blocks[1][e][active]
         diff = blocks[0][e][active] - ref

@@ -5,9 +5,9 @@ import pytest
 
 from frachp import (DegreeRule, DerivativeRecurrence, build_dof_map,
                     build_geometric_mesh, eval_fem_derivative,
-                    eval_fem_function, gauss_lobatto_nodes, legendre_eval,
-                    shape_deriv, shape_eval, weighted_derivative_norms)
-from frachp.basis import _legendre_pair
+                    eval_fem_function, gauss_lobatto_nodes,
+                    weighted_derivative_norms)
+from frachp.basis import _legendre_pair, _shape_deriv_matrix, _shape_matrix
 
 
 def test_lobatto_small_degrees():
@@ -43,36 +43,43 @@ def test_lobatto_rejects_degree_zero():
 
 
 def test_legendre_values():
-    assert legendre_eval(0, 0.3) == 1.0
-    assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-16)
-    assert legendre_eval(5, 1.0) == pytest.approx(1.0, abs=1e-14)
-    # vectorized call agrees with scalar calls
+    # the recurrence returns (P_n, P_{n-1}); compare with numpy's series
     xs = np.linspace(-1, 1, 7)
-    np.testing.assert_allclose(legendre_eval(4, xs),
-                               [legendre_eval(4, x) for x in xs], rtol=1e-15)
+    for n in range(1, 13):
+        pn, pn1 = _legendre_pair(n, xs)
+        np.testing.assert_allclose(
+            pn, np.polynomial.legendre.legval(xs, np.eye(n + 1)[n]),
+            rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            pn1, np.polynomial.legendre.legval(xs, np.eye(n + 1)[n - 1]),
+            rtol=0, atol=1e-14)
+    assert _legendre_pair(2, np.array([0.5]))[0][0] == pytest.approx(
+        -0.125, abs=1e-16)
+    assert _legendre_pair(5, np.array([1.0]))[0][0] == pytest.approx(
+        1.0, abs=1e-14)
 
 
 def test_shape_cardinal_property():
     for p in (1, 2, 4, 7):
         t = gauss_lobatto_nodes(p)
         for k in range(p + 1):
-            vals = shape_eval(p, k, t)
+            vals = _shape_matrix(p, t)[k]
             np.testing.assert_array_equal(vals, np.eye(p + 1)[k])
 
 
 def test_shape_values():
-    assert shape_eval(1, 0, -1.0) == 1.0
-    assert shape_eval(1, 0, 1.0) == 0.0
-    assert shape_eval(2, 1, 0.0) == 1.0
-    assert shape_eval(2, 1, 0.5) == pytest.approx(0.75, rel=1e-14)  # 1 - t^2
+    assert _shape_matrix(1, -1.0)[0, 0] == 1.0
+    assert _shape_matrix(1, 1.0)[0, 0] == 0.0
+    assert _shape_matrix(2, 0.0)[1, 0] == 1.0
+    assert _shape_matrix(2, 0.5)[1, 0] == pytest.approx(0.75, rel=1e-14)  # 1 - t^2
 
 
 def test_shape_partition_of_unity():
     for p in (1, 3, 6, 10):
         t = np.linspace(-1, 1, 41)
-        total = sum(shape_eval(p, k, t) for k in range(p + 1))
+        total = sum(_shape_matrix(p, t)[k] for k in range(p + 1))
         np.testing.assert_allclose(total, 1.0, atol=1e-13)
-        dtotal = sum(shape_deriv(p, k, t) for k in range(p + 1))
+        dtotal = sum(_shape_deriv_matrix(p, t)[k] for k in range(p + 1))
         np.testing.assert_allclose(dtotal, 0.0, atol=1e-12)
 
 
@@ -81,8 +88,10 @@ def test_shape_deriv_matches_difference_quotient():
     for k in (0, 2, 5):
         for t in (-0.77, 0.1, 0.93):
             h = 1e-6
-            fd = (shape_eval(p, k, t + h) - shape_eval(p, k, t - h)) / (2 * h)
-            assert shape_deriv(p, k, t) == pytest.approx(fd, abs=1e-8)
+            fd = (_shape_matrix(p, t + h)[k, 0]
+                  - _shape_matrix(p, t - h)[k, 0]) / (2 * h)
+            assert _shape_deriv_matrix(p, t)[k, 0] == pytest.approx(fd,
+                                                                    abs=1e-8)
 
 
 def test_dof_counts():
@@ -124,14 +133,16 @@ def test_vertex_dofs_shared_and_endpoints_constrained():
             (0, 1, 6)):
         mesh = build_geometric_mesh((-1, 1), 0.5, L)
         dm = build_dof_map(mesh, rule)
-        for e in range(mesh.n_elements - 1):
-            assert dm.elem_dofs[e][-1] == dm.elem_dofs[e + 1][0]
-        assert dm.elem_dofs[0][0] == -1
-        assert dm.elem_dofs[-1][-1] == -1
+        ne = mesh.n_elements
+        for e in range(ne - 1):
+            assert dm.table[e, dm.degrees[e]] == dm.table[e + 1, 0]
+        assert dm.table[0, 0] == -1
+        assert dm.table[ne - 1, dm.degrees[ne - 1]] == -1
         # interior vertices first, then the internal dofs element by element
         internal = iter(range(2 * L + 1, dm.n_dofs))
-        for e, g in enumerate(dm.elem_dofs):
-            right = -1 if e == mesh.n_elements - 1 else e
+        for e in range(ne):
+            g = dm.table[e, :dm.degrees[e] + 1]
+            right = -1 if e == ne - 1 else e
             inner = [next(internal) for _ in range(1, int(dm.degrees[e]))]
             assert g.tolist() == [e - 1] + inner + [right]
         assert next(internal, None) is None
@@ -139,21 +150,31 @@ def test_vertex_dofs_shared_and_endpoints_constrained():
         # every entry past an element's degree is -1
         for p in np.unique(dm.degrees).tolist():
             es = np.flatnonzero(dm.degrees == p)
-            np.testing.assert_array_equal(
-                dm.dofs(es), np.stack([dm.elem_dofs[e] for e in es]))
+            np.testing.assert_array_equal(dm.dofs(es), dm.table[es, :p + 1])
             assert (dm.table[es, p + 1:] == -1).all()
         np.testing.assert_array_equal(dm.lo, mesh.nodes[:-1])
         np.testing.assert_array_equal(dm.hi, mesh.nodes[1:])
         np.testing.assert_array_equal(dm.h, dm.hi - dm.lo)
 
 
+def test_dofs_rejects_mixed_degrees():
+    # reduced(4), L = 3: element 0 has degree 1 and element 1 degree 4, so
+    # one stacked array cannot hold both rows without truncating row 1
+    mesh = build_geometric_mesh((-1, 1), 0.5, 3)
+    dm = build_dof_map(mesh, DegreeRule.reduced(4))
+    assert dm.table[1, :5].tolist() == [0, 7, 8, 9, 1]
+    with pytest.raises(ValueError, match=r"degrees \[1, 4\]"):
+        dm.dofs([0, 1])
+    assert dm.dofs([1, 2]).tolist() == [[0, 7, 8, 9, 1], [1, 10, 11, 12, 2]]
+    assert dm.dofs([0]).tolist() == [[-1, 0]]
+
+
 @pytest.mark.parametrize(
     "make", [lambda p: DegreeRule("uniform", p), DegreeRule.uniform,
              DegreeRule.reduced, gauss_lobatto_nodes,
-             lambda p: legendre_eval(p, np.linspace(-1, 1, 5)),
              lambda p: DerivativeRecurrence.build(0.3, p).polynomials[-1].coef,
              lambda p: weighted_derivative_norms(0.5, p, 0.05).norms],
-    ids=["init", "uniform", "reduced", "gauss_lobatto_nodes", "legendre_eval",
+    ids=["init", "uniform", "reduced", "gauss_lobatto_nodes",
          "derivative_recurrence", "derivative_norms"])
 def test_degree_rule_rejects_non_integer_degree(make):
     # a float degree raises instead of being truncated to 2
@@ -200,9 +221,9 @@ def test_eval_derivative_of_known_polynomial():
     from frachp.basis import gauss_lobatto_nodes as gln
     coeffs = np.zeros(dm.n_dofs)
     for e in range(mesh.n_elements):
-        lo, hi = mesh.element(e + 1)
+        lo, hi = dm.lo[e], dm.hi[e]
         xs = lo + 0.5 * (hi - lo) * (gln(2) + 1)
-        for k, g in enumerate(dm.elem_dofs[e]):
+        for k, g in enumerate(dm.table[e, :3]):
             if g >= 0:
                 coeffs[g] = xs[k] * (2 - xs[k])
     for x in (0.3, 0.9, 1.55):
@@ -219,7 +240,7 @@ def points_with_owners(mesh, dm, rng):
     index of x there or -1).  A node is owned by the element on its right,
     b by the last element."""
     xs, owner, ts, local = [], [], [], []
-    for e, (lo, hi) in enumerate(mesh.elements):
+    for e, (lo, hi) in enumerate(zip(dm.lo, dm.hi)):
         p = int(dm.degrees[e])
         k = np.arange(p + 1 if e == mesh.n_elements - 1 else p)
         t = np.concatenate((gauss_lobatto_nodes(p)[k], rng.uniform(-1, 1, 3)))
@@ -243,11 +264,10 @@ def test_eval_one_array_of_nodes_and_interior_points(kind):
     def expand(coeffs, e, t, deriv):
         # sum_k coeffs[g_k] l_k(t) on element e, constrained dofs left out
         p = int(dm.degrees[e])
-        lo, hi = mesh.element(e + 1)
-        scale = 2.0 / (hi - lo) if deriv else 1.0
-        shape = shape_deriv if deriv else shape_eval
-        return scale * sum(coeffs[g] * shape(p, k, t)
-                           for k, g in enumerate(dm.elem_dofs[e]) if g >= 0)
+        scale = 2.0 / dm.h[e] if deriv else 1.0
+        shape = (_shape_deriv_matrix if deriv else _shape_matrix)(p, t)[:, 0]
+        return scale * sum(coeffs[g] * shape[k]
+                           for k, g in enumerate(dm.table[e, :p + 1]) if g >= 0)
 
     coeffs = rng.standard_normal(dm.n_dofs)
     vals = eval_fem_function(dm, coeffs, xs)
@@ -260,7 +280,7 @@ def test_eval_one_array_of_nodes_and_interior_points(kind):
     # cardinal property: a dof point reads its own coefficient, the two
     # endpoints read 0
     for i in np.flatnonzero(local >= 0):
-        g = dm.elem_dofs[owner[i]][local[i]]
+        g = dm.table[owner[i], local[i]]
         want = coeffs[g] if g >= 0 else 0.0
         assert vals[i] == pytest.approx(want, abs=1e-13 * scale)
     assert vals[(xs == 0.0) | (xs == 2.0)].tolist() == [0.0, 0.0]
@@ -279,8 +299,8 @@ def test_eval_one_array_of_nodes_and_interior_points(kind):
     f = lambda x: x * (2.0 - x) * (x + 0.5)
     df = lambda x: -3.0 * x * x + 3.0 * x + 1.0
     at_dofs = np.zeros(dm.n_dofs)
-    for e, (lo, hi) in enumerate(mesh.elements):
-        g = dm.elem_dofs[e]
+    for e, (lo, hi) in enumerate(zip(dm.lo, dm.hi)):
+        g = dm.table[e, :dm.degrees[e] + 1]
         pts = lo + 0.5 * (hi - lo) * (gauss_lobatto_nodes(len(g) - 1) + 1.0)
         at_dofs[g[g >= 0]] = f(pts[g >= 0])
     vals = eval_fem_function(dm, at_dofs, xs)

@@ -105,7 +105,7 @@ def test_solution_reflection_symmetric_for_even_data():
     for e in range(E):
         p = int(dm.degrees[e])
         for k in range(1, p):
-            perm[dm.elem_dofs[e][k]] = dm.elem_dofs[E - 1 - e][p - k]
+            perm[dm.table[e, k]] = dm.table[E - 1 - e, p - k]
     np.testing.assert_allclose(sol.coeffs, sol.coeffs[perm], atol=1e-10)
 
 
