@@ -42,8 +42,8 @@ class DivergentIntegralError(RuntimeError):
     """Raised when a weighted integral fails to stabilize under refinement."""
 
 
-def _stabilized_integral(g, interval, singular_end, exponent):
-    """int over `interval` of dist(x, singular end)^exponent * g(x) dx.
+def _stabilized_integral(g, length, exponent):
+    """int_0^length x^exponent g(x) dx.
 
     Gauss-Jacobi with the weight factored out; doubles the point count from
     32 up to 1024 until two successive values agree to 1e-9 relative.  Slow
@@ -53,18 +53,12 @@ def _stabilized_integral(g, interval, singular_end, exponent):
     if exponent <= -1.0:
         raise DivergentIntegralError(
             f"weight exponent {exponent} is not integrable")
-    a, b = interval
-    h = b - a
     vals = []
     n, n_max, rtol = 32, 1024, 1e-9
     while True:
-        if singular_end == "left":
-            t, w = _weighted_rule(n, exponent, 0.0)
-        else:
-            t, w = _weighted_rule(n, 0.0, exponent)
-        x = a + h * t
-        vals.append(h ** (exponent + 1.0)
-                    * float(w @ np.asarray(g(x), dtype=float)))
+        t, w = _weighted_rule(n, exponent, 0.0)
+        vals.append(length ** (exponent + 1.0)
+                    * float(w @ np.asarray(g(length * t), dtype=float)))
         if len(vals) >= 2:
             if abs(vals[-1] - vals[-2]) <= rtol * max(abs(vals[-1]), 1e-300):
                 return vals[-1]
@@ -107,7 +101,7 @@ def endpoint_interpolation_check(v, dv, d2v, beta_prime, epsilon):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     bp, eps = beta_prime, epsilon
     iv = linear_endpoint_interpolant(v)
-    slope = iv.coef[1] if len(iv.coef) > 1 else 0.0
+    slope = iv.coef[1]
 
     def err_over_x(x):
         return (np.asarray(v(x), dtype=float) - iv(x)) / x
@@ -115,14 +109,12 @@ def endpoint_interpolation_check(v, dv, d2v, beta_prime, epsilon):
     def derr(x):
         return np.asarray(dv(x), dtype=float) - slope
 
-    val_term = _stabilized_integral(lambda x: err_over_x(x) ** 2,
-                                    (0.0, 1.0), "left", 2.0 * bp)
-    der_term = _stabilized_integral(lambda x: derr(x) ** 2,
-                                    (0.0, 1.0), "left", 2.0 * bp)
+    val_term = _stabilized_integral(lambda x: err_over_x(x) ** 2, 1.0,
+                                    2.0 * bp)
+    der_term = _stabilized_integral(lambda x: derr(x) ** 2, 1.0, 2.0 * bp)
     m = min(bp + 1.0, 1.5 - eps)
     rhs_sq = _stabilized_integral(
-        lambda x: np.asarray(d2v(x), dtype=float) ** 2,
-        (0.0, 1.0), "left", 2.0 * m)
+        lambda x: np.asarray(d2v(x), dtype=float) ** 2, 1.0, 2.0 * m)
     lhs = math.sqrt(max(0.0, val_term)) + math.sqrt(max(0.0, der_term))
     rhs = math.sqrt(max(0.0, rhs_sq))
     if rhs == 0.0:
@@ -249,10 +241,8 @@ def _boundary_error_sq(u, du, dofmap, coeffs, e, beta_p):
         return (t * err) ** 2
 
     expo = 4.0 * beta_p - 1.0
-    total = _stabilized_integral(value_integrand, (0.0, math.sqrt(h)),
-                                 "left", expo)
-    total += _stabilized_integral(deriv_integrand, (0.0, math.sqrt(h)),
-                                  "left", expo)
+    total = _stabilized_integral(value_integrand, math.sqrt(h), expo)
+    total += _stabilized_integral(deriv_integrand, math.sqrt(h), expo)
     return 2.0 * total
 
 

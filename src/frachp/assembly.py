@@ -14,7 +14,8 @@ needed.  The double integral runs over element pairs i <= j (twice for
 i < j) with the schemes of the quadrature module, batched per pair class:
 
 * identical pairs T x T: h^(1-2s) times one reference block per degree,
-  whose rows are divided differences on the reference element;
+  whose rows are divided differences on the reference element; these are
+  symmetric in x and z, so the block is twice that of the triangle z < x;
 * adjacent pairs T_e x T_e+1: the points are distances from the shared
   vertex normalised per element, so one shape table serves each degree
   pair; a pair only contributes its weights in the angular Duffy variable,
@@ -29,14 +30,15 @@ i < j) with the schemes of the quadrature module, batched per pair class:
   sums of K to per-element weights, which give one self block per element
   and (p, n) after the loop.
 
-Blocks are added with np.add.at, the rows and columns of constrained
-endpoint dofs dropped, into the lower triangle, mirrored once at the end.
-The complement term and the load are batched per degree on the
-Gauss-Legendre shape tables of the disjoint pairs, with points in
-per-element reference coordinates.  On the two boundary elements the
-endpoint singularity of kappa is removed analytically by factoring the
-first-order zero of the basis functions, leaving a Gauss-Jacobi weight with
-exponent 2-2s.
+The complement term enters with these self blocks: the per-element weights
+start as kappa h w at the Gauss points of each element.  On the two
+boundary elements the near-endpoint part of kappa has its own block, its
+singularity removed by factoring the first-order zero of the basis
+functions, leaving a Gauss-Jacobi weight with exponent 2-2s.  Blocks are
+added with np.add.at, the rows and columns of constrained endpoint dofs
+dropped, into the lower triangle, scaled by C(s)/2 and mirrored once at the
+end.  The load is batched per degree on the same Gauss-Legendre shape
+tables, with points in per-element reference coordinates.
 
 assemble(dofmap, s, quad_offset=6) and assemble_load(f, dofmap,
 quad_offset=6) read the element bounds, lengths, degrees and dof rows from
@@ -110,7 +112,7 @@ def complement_weight(domain, s, x):
 def _gauss_shapes(p, n):
     """Degree-p shapes at the n Gauss-Legendre points of an element.
 
-    The table serves every disjoint pair, complement block and load batch
+    The table serves every disjoint pair, self block and load batch
     with these (p, n); it depends on neither the element nor s.
     """
     t, _ = _rule01(n)
@@ -141,14 +143,15 @@ def _scatter(A, rows, cols, blocks):
 def _identical_blocks(A, dm, s, quad_offset):
     """T x T for every element: h^(1-2s) times one reference block per
     degree, whose rows are the divided differences on the reference
-    element."""
+    element.  They are symmetric in x and z, so the triangle z > x adds
+    what the triangle z < x of the scheme does."""
     for p in np.unique(dm.degrees).tolist():
         es = np.flatnonzero(dm.degrees == p)
         tx, tz, w = _identical_scheme(s, p + quad_offset)
         rows = _shape_matrix(p, 2.0 * tx - 1.0)
         rows -= _shape_matrix(p, 2.0 * tz - 1.0)
         rows /= tx - tz
-        ref = (rows * w) @ rows.T
+        ref = 2.0 * (rows * w) @ rows.T
         g = dm.dofs(es)
         _scatter(A, g, g, dm.h[es, None, None] ** (1.0 - 2.0 * s) * ref)
 
@@ -202,15 +205,15 @@ def _disjoint_blocks(A, dm, s, quad_offset):
     |x_a - z_b|^(-1-2s) factor the block into S_x diag(K 1) S_x^T,
     -S_x K S_z^T (and its transpose) and S_z diag(K^T 1) S_z^T.  The cross
     blocks are scattered per chunk; the row and column sums of K are added
-    up per element and point count, so each element gets one self block
-    per (p, n).
+    to the table of complement weights, so each element gets one self block
+    per (p, n), its complement term included.
     """
     ne = len(dm.h)
     i, j = np.triu_indices(ne, 2)
     pi, pj = dm.degrees[i], dm.degrees[j]
     n = _disjoint_n(np.maximum(pi, pj) + quad_offset, dm.h[i], dm.h[j],
                     dm.lo[j] - dm.hi[i])
-    sums = {}  # (p, n) -> per-element, per-point sums of K
+    sums = _complement_weights(dm, s, quad_offset)
     for p, q, nq in sorted(set(zip(pi.tolist(), pj.tolist(), n.tolist()))):
         pairs = np.flatnonzero((pi == p) & (pj == q) & (n == nq))
         t, wt = _rule01(nq)
@@ -239,22 +242,20 @@ def _disjoint_blocks(A, dm, s, quad_offset):
         _scatter(A, g, g, 2.0 * (sx * w[es, None, :]) @ sx.T)
 
 
-def _complement_blocks(dm, s, quad_offset):
-    """Blocks of int_T phi_k phi_l kappa, as (elements, blocks) batches:
-    every element per degree, then the near-endpoint term of each boundary
-    element.
+def _complement_weights(dm, s, quad_offset):
+    """kappa h w at the p + quad_offset Gauss points of every element, as a
+    {(p, n): (elements, n)} table of self-term weights, zero on the elements
+    of other degrees.
 
     The distances to the endpoints are taken in reference coordinates,
     (lo - a) + h t and (b - hi) + h (1 - t), so they keep their relative
-    accuracy on the small elements at the boundary.  The Gauss batch leaves
-    out the near-endpoint term of the two boundary elements; there the
-    first-order zero of the active shapes is factored out and t^(2-2s)
-    (or (1 - t)^(2-2s)) is absorbed into a Gauss-Jacobi weight.
+    accuracy on the small elements at the boundary.  The near-endpoint term
+    of the two boundary elements is left out for _endpoint_blocks.
     """
     a, b = dm.lo[0], dm.hi[-1]
     two_s = 2.0 * s
-    last = len(dm.h) - 1
-    batches = []
+    ne = len(dm.h)
+    table = {}
     for p in np.unique(dm.degrees).tolist():
         es = np.flatnonzero(dm.degrees == p)
         n = p + quad_offset
@@ -263,18 +264,28 @@ def _complement_blocks(dm, s, quad_offset):
         left = ((dm.lo[es, None] - a) + h * t) ** -two_s
         right = ((b - dm.hi[es, None]) + h * (1.0 - t)) ** -two_s
         left[es == 0] = 0.0
-        right[es == last] = 0.0
-        weights = w * h * (left + right) / two_s
-        vals = _gauss_shapes(p, n)
-        batches.append((es, (vals * weights[:, None, :]) @ vals.T))
+        right[es == ne - 1] = 0.0
+        table[p, n] = np.zeros((ne, n))
+        table[p, n][es] = w * h * (left + right) / two_s
+    return table
+
+
+def _endpoint_blocks(dm, s, quad_offset):
+    """int_T phi_k phi_l (dist to the near endpoint)^(-2s) / (2s) on the two
+    boundary elements, as (element, block) pairs.
+
+    The first-order zero of the active shapes is factored out and t^(2-2s)
+    (or (1 - t)^(2-2s)) is absorbed into a Gauss-Jacobi weight.
+    """
+    two_s = 2.0 * s
+    last = len(dm.h) - 1
     for e, near_exps in ((0, (2.0 - two_s, 0.0)), (last, (0.0, 2.0 - two_s))):
         p = int(dm.degrees[e])
         tj, wj = _jacobi01(p + quad_offset, *near_exps)
         ratios = _shape_matrix(p, 2.0 * tj - 1.0)
         ratios /= tj if e == 0 else 1.0 - tj
         weights = wj * dm.h[e] ** (1.0 - two_s) / two_s
-        batches.append(([e], ((ratios * weights) @ ratios.T)[None]))
-    return batches
+        yield e, (ratios * weights) @ ratios.T
 
 
 def assemble(dofmap, s, quad_offset=6):
@@ -292,13 +303,10 @@ def assemble(dofmap, s, quad_offset=6):
     _identical_blocks(A, dofmap, s, quad_offset)
     _adjacent_blocks(A, dofmap, s, quad_offset)
     _disjoint_blocks(A, dofmap, s, quad_offset)
-
-    c = kernel_constant(s)
-    A *= 0.5 * c
-    for es, blocks in _complement_blocks(dofmap, s, quad_offset):
-        g = dofmap.dofs(es)
-        _scatter(A, g, g, c * blocks)
-
+    for e, block in _endpoint_blocks(dofmap, s, quad_offset):
+        g = dofmap.dofs([e])
+        _scatter(A, g, g, 2.0 * block[None])
+    A *= 0.5 * kernel_constant(s)
     A += np.tril(A, -1).T  # mirror the lower triangle once
     if not np.all(np.isfinite(A)):
         raise RuntimeError("stiffness assembly produced non-finite entries")

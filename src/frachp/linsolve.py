@@ -87,7 +87,7 @@ def cholesky_solve(system):
     """
     A = system.stiffness
     b = system.load
-    if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
+    if A.ndim != 2 or b.ndim != 1 or not A.shape[0] == A.shape[1] == len(b):
         raise ValueError("inconsistent system dimensions")
     for name, array in (("A", A), ("b", b)):
         if not np.isfinite(array).all():

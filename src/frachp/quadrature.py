@@ -10,10 +10,11 @@ with g smooth on the pair domain (after a Duffy split at the shared vertex
 for adjacent pairs).  The schemes below absorb the kernel factor into the
 weights:
 
-* identical pairs T x T are split along the diagonal; the diagonal distance
-  carries a Gauss-Jacobi weight with exponent 1-2s (the triangular measure
-  factor is absorbed as well), tensored with Gauss-Legendre along the
-  element;
+* identical pairs T x T are split along the diagonal, and the scheme is
+  the triangle z < x alone, the other being its mirror; the diagonal
+  distance carries a Gauss-Jacobi weight with exponent 1-2s (the triangular
+  measure factor is absorbed as well), tensored with Gauss-Legendre along
+  the element;
 * adjacent pairs use distances from the shared vertex, normalized per
   element, and a Duffy substitution; the radial variable carries a
   Gauss-Jacobi weight (kernel exponent 1-2s plus the Duffy Jacobian) and
@@ -163,18 +164,16 @@ def _check_s(s):
 def _identical_scheme(s, n):
     """Identical pair T x T on the reference element T = (0, 1).
 
-    Returns (tx, tz, w): the two triangles z < x and z > x, each a
-    Gauss-Jacobi rule in the diagonal distance tensored with Gauss-Legendre
-    along the element, with |tx - tz|^(1-2s) absorbed into w.  On an
-    element of length h the points scale by h and the weights by h^(3-2s).
+    Returns (tx, tz, w) on the triangle z < x: a Gauss-Jacobi rule in the
+    diagonal distance tx - tz tensored with Gauss-Legendre along the
+    element, with |tx - tz|^(1-2s) absorbed into w.  The triangle z > x is
+    its mirror (tz, tx, w).  On an element of length h the points scale by
+    h and the weights by h^(3-2s).
     """
     tj, wj = _jacobi01(n, 1.0 - 2.0 * s, 1.0)
     tu, wu = _rule01(n)
     span = ((1.0 - tj)[:, None] * tu[None, :]).ravel()
-    shifted = (tj[:, None] + (1.0 - tj)[:, None] * tu[None, :]).ravel()
-    w = np.outer(wj, wu).ravel()
-    return (np.concatenate((shifted, span)), np.concatenate((span, shifted)),
-            np.concatenate((w, w)))
+    return tj.repeat(n) + span, span, np.outer(wj, wu).ravel()
 
 
 def _adjacent_scheme(s, n):

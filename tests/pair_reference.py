@@ -35,8 +35,10 @@ def pair_quadrature(s, n, elements):
     hx, hz = b1 - a1, b2 - a2
     gap = max(a2 - b1, a1 - b2)
     if (a1, b1) == (a2, b2):
+        # the scheme is the triangle z < x; the other is its mirror
         tx, tz, w = _identical_scheme(s, n)
-        return a1 + hx * tx, a1 + hx * tz, hx ** (3.0 - 2.0 * s) * w
+        x, z = np.concatenate((tx, tz)), np.concatenate((tz, tx))
+        return a1 + hx * x, a1 + hx * z, hx ** (3.0 - 2.0 * s) * np.tile(w, 2)
     if gap == 0:
         v, sx, sz = (b1, -1.0, 1.0) if b1 == a2 else (a1, 1.0, -1.0)
         rho_x, rho_z, xi, wq = _adjacent_scheme(s, n)

@@ -10,7 +10,7 @@ import frachp.assembly as assembly_mod
 from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
                     build_geometric_mesh, cholesky_solve, complement_weight,
                     kernel_constant, solve_problem)
-from frachp.assembly import _complement_blocks
+from frachp.assembly import _complement_weights, _endpoint_blocks
 from frachp.basis import _shape_matrix
 from frachp.quadrature import _rule01
 from oracles import oracle_stiffness
@@ -112,7 +112,7 @@ def test_serial_assembly_deterministic():
 def per_pair_stiffness(mesh, dm, s, quad_offset):
     """Stiffness from a loop over element pairs i <= j, each through
     pair_quadrature with its divided differences merged per global dof,
-    plus the complement blocks of the assembly.  Constrained dofs land in
+    plus a complement block per element.  Constrained dofs land in
     a spare row and column N.  Identical pairs are integrated on (0, 1) and
     scaled by h^(1-2s): at the physical points of the smallest elements the
     divided differences lose up to 4e-13 of the block maximum at s = 0.98
@@ -140,11 +140,31 @@ def per_pair_stiffness(mesh, dm, s, quad_offset):
         A[np.ix_(g, g)] += scale * (rows * w) @ rows.T
     c = kernel_constant(s)
     A *= 0.5 * c
-    for es, blocks in _complement_blocks(dm, s, quad_offset):
-        for e, local in zip(es, blocks):
-            A[np.ix_(dofs[e], dofs[e])] += c * local
+    for e in range(ne):
+        A[np.ix_(dofs[e], dofs[e])] += c * complement_block(dm, s, e,
+                                                            quad_offset)
+    for e, block in _endpoint_blocks(dm, s, quad_offset):
+        A[np.ix_(dofs[e], dofs[e])] += c * block
     A = A[:N, :N]
     return np.tril(A) + np.tril(A, -1).T
+
+
+def complement_block(dm, s, e, quad_offset):
+    """int_T phi_k phi_l kappa on element e at physical Gauss points; on
+    the two boundary elements only the far endpoint's term, the near one's
+    being the Jacobi block of _endpoint_blocks."""
+    a, b = dm.lo[0], dm.hi[-1]
+    lo, hi, p = dm.lo[e], dm.hi[e], int(dm.degrees[e])
+    t, w = _rule01(p + quad_offset)
+    x = lo + (hi - lo) * t
+    if e == 0:
+        kappa = (b - x) ** (-2.0 * s) / (2.0 * s)
+    elif e == len(dm.h) - 1:
+        kappa = (x - a) ** (-2.0 * s) / (2.0 * s)
+    else:
+        kappa = complement_weight((a, b), s, x)
+    vals = _shape_matrix(p, 2.0 * (x - lo) / (hi - lo) - 1.0)
+    return (vals * (w * (hi - lo) * kappa)) @ vals.T
 
 
 @pytest.mark.parametrize("kind", ["uniform", "reduced"])
@@ -304,12 +324,15 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
     mesh = build_geometric_mesh((-1, 1), 0.6, 24)
     dm = build_dof_map(mesh, DegreeRule.uniform(24))
     ends = (0, mesh.n_elements - 1)
-    blocks = [dict.fromkeys(ends, 0.0) for _ in range(2)]
-    for sums, offset in zip(blocks, (6, 30)):
-        for es, batch in _complement_blocks(dm, s, offset):
-            for e, local in zip(es, batch):
-                if e in sums:
-                    sums[e] = sums[e] + local
+    blocks = []
+    for offset in (6, 30):
+        # the Jacobi block of the near endpoint plus the Gauss block of the
+        # far one, whose weights are the element's row of the table
+        n = 24 + offset
+        weights = _complement_weights(dm, s, offset)[24, n]
+        shapes = _shape_matrix(24, 2.0 * _rule01(n)[0] - 1.0)
+        blocks.append({e: block + (shapes * weights[e]) @ shapes.T
+                       for e, block in _endpoint_blocks(dm, s, offset)})
     for e in ends:
         keep = dm.table[e, :dm.degrees[e] + 1] >= 0
         active = np.ix_(keep, keep)

@@ -72,6 +72,11 @@ def test_runtime_imports_no_scipy():
 def test_rejects_inconsistent_shapes():
     with pytest.raises(ValueError):
         cholesky_solve(make_system(np.eye(3), [1.0, 2.0]))
+    # a 1-D A, a 0-D b and a column b are not systems either
+    for A, b in ((np.ones(3), np.ones(3)), (np.eye(1), 1.0),
+                 (np.eye(3), np.ones((3, 1)))):
+        with pytest.raises(ValueError, match="inconsistent system"):
+            cholesky_solve(make_system(A, b))
 
 
 def test_n1_fractional_system_regression():
