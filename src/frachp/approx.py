@@ -280,9 +280,16 @@ def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
 
 def interpolation_error_study(s, sigma, L_max, eps_prime=0.05):
     """Interpolation-error sweep L = p = 1..L_max; rows match the
-    interp-study CSV schema (p, L, sigma, s, weighted_error)."""
+    interp-study CSV schema (p, L, sigma, s, weighted_error).
+
+    A DivergentIntegralError is raised again naming the failing (s, L).
+    """
     rows = []
     for L in range(1, operator.index(L_max) + 1):
-        err = interpolant_weighted_error(s, sigma, L, eps_prime)
+        try:
+            err = interpolant_weighted_error(s, sigma, L, eps_prime)
+        except DivergentIntegralError as exc:
+            raise DivergentIntegralError(
+                f"interpolation error failed at s={s}, L={L}: {exc}") from exc
         rows.append((L, L, float(sigma), float(s), err))
     return rows

@@ -20,25 +20,31 @@ i < j) with the schemes of the quadrature module, batched per pair class:
   vertex normalised per element, so one shape table serves each degree
   pair; a pair only contributes its weights in the angular Duffy variable,
   applied to a table of angular slices;
-* disjoint pairs T_i x T_j, j >= i + 2: on the tensor Gauss-Legendre rule
-  the block factors into S_x diag(K 1) S_x^T, -S_x K S_z^T (and its
-  transpose) and S_z diag(K^T 1) S_z^T, with K the kernel weights and S
-  the shape tables, which depend on neither the element nor s and are
-  cached across calls.  Pairs are batched over the whole mesh per degree
-  pair (p_i, p_j) and point count n, in chunks of a fixed number of kernel
-  entries; each chunk scatters its cross blocks and adds the row and column
-  sums of K to per-element weights, which give one self block per element
-  and (p, n) after the loop.
+* disjoint pairs T_i x T_j, j >= i + 2: on the tensor Gauss-Legendre rule,
+  with K = |x_a - z_b|^(-1-2s) and the Gauss weights w folded into the
+  shape tables S, which depend on neither the element nor s and are cached
+  across calls, the cross block is -2 h_i h_j (S_x w) K (S_z w)^T and the
+  self terms are h_i h_j w K w and h_i h_j w K^T w.  Pairs are batched over
+  the whole mesh per degree pair (p_i, p_j) and point count n, in chunks of
+  a fixed number of kernel entries; each chunk scatters its cross blocks and
+  adds its self terms to per-element weights, which give one self block per
+  element and (p, n) after the loop.
 
 The complement term enters with these self blocks: the per-element weights
 start as kappa h w at the Gauss points of each element.  On the two
 boundary elements the near-endpoint part of kappa has its own block, its
 singularity removed by factoring the first-order zero of the basis
-functions, leaving a Gauss-Jacobi weight with exponent 2-2s.  Blocks are
-added with np.add.at, the rows and columns of constrained endpoint dofs
-dropped, into the lower triangle, scaled by C(s)/2 and mirrored once at the
-end.  The load is batched per degree on the same Gauss-Legendre shape
-tables, with points in per-element reference coordinates.
+functions, leaving a Gauss-Jacobi weight with exponent 2-2s.
+
+Blocks are added with np.add.at on flat indices into an (N+1) x (N+1) work
+array, whose spare row and column N take the constrained endpoint dofs.
+The dofs are numbered left to right, so every disjoint cross block lies in
+the upper triangle and is scattered once, unmirrored; the blocks of single
+elements and adjacent pairs are scattered whole.  The upper triangle is
+then scaled by C(s)/2 into the contiguous N x N result and mirrored there
+in place, tile by tile, with no N x N temporary.  The load is batched per
+degree on the same Gauss-Legendre shape tables, with points in per-element
+reference coordinates.
 
 assemble(dofmap, s, quad_offset=6) and assemble_load(f, dofmap,
 quad_offset=6) read the element bounds, lengths, degrees and dof rows from
@@ -128,16 +134,16 @@ _CHUNK = 1 << 14
 
 
 def _scatter(A, rows, cols, blocks):
-    """A[rows[b, k], cols[b, l]] += blocks[b, k, l] where rows >= cols >= 0.
+    """A[rows[b, k], cols[b, l]] += blocks[b, k, l] on the (N+1) x (N+1)
+    work array A.
 
-    The one mask keeps the lower triangle, which assemble mirrors once, and
-    drops the constrained endpoint dofs (index -1).  Flat indices into the
-    contiguous A make np.add.at several times faster than index pairs.
+    A constrained dof (-1) lands in the spare row or column N by index
+    arithmetic alone: the flat index r (N+1) - 1 is column N of row r - 1,
+    and a negative flat index wraps round to row N.  np.add.at keeps its
+    fast path only on 1-D indices and values, into the contiguous A.
     """
-    rows, cols = rows[:, :, None], cols[:, None, :]
-    keep = (rows >= cols) & (cols >= 0)
-    flat = rows * A.shape[1] + cols
-    np.add.at(A.reshape(-1), flat[keep], blocks[keep])
+    flat = rows[:, :, None] * A.shape[1] + cols[:, None, :]
+    np.add.at(A.reshape(-1), flat.ravel(), blocks.ravel())
 
 
 def _identical_blocks(A, dm, s, quad_offset):
@@ -201,12 +207,12 @@ def _disjoint_blocks(A, dm, s, quad_offset):
     """T_i x T_j for j >= i + 2, twice, batched over the whole mesh per
     degree pair and point count, in chunks of _CHUNK kernel entries.
 
-    On a tensor Gauss rule the kernel weights K_ab = h_i h_j w_a w_b
-    |x_a - z_b|^(-1-2s) factor the block into S_x diag(K 1) S_x^T,
-    -S_x K S_z^T (and its transpose) and S_z diag(K^T 1) S_z^T.  The cross
-    blocks are scattered per chunk; the row and column sums of K are added
-    to the table of complement weights, so each element gets one self block
-    per (p, n), its complement term included.
+    On a tensor Gauss rule with K_ab = |x_a - z_b|^(-1-2s) the block factors
+    into h_i h_j times S_x diag(w K w) S_x^T, -(S_x w) K (S_z w)^T (and its
+    transpose) and S_z diag(w K^T w) S_z^T.  The cross blocks lie in the
+    upper triangle and are scattered once per chunk; the self terms are
+    added to the table of complement weights, so each element gets one self
+    block per (p, n), its complement term included.
     """
     ne = len(dm.h)
     i, j = np.triu_indices(ne, 2)
@@ -217,24 +223,23 @@ def _disjoint_blocks(A, dm, s, quad_offset):
     for p, q, nq in sorted(set(zip(pi.tolist(), pj.tolist(), n.tolist()))):
         pairs = np.flatnonzero((pi == p) & (pj == q) & (n == nq))
         t, wt = _rule01(nq)
-        sx, sz = _gauss_shapes(p, nq), _gauss_shapes(q, nq)
+        sxw, szw = _gauss_shapes(p, nq) * wt, _gauss_shapes(q, nq) * wt
         wx = sums.setdefault((p, nq), np.zeros((ne, nq)))
         wz = sums.setdefault((q, nq), np.zeros((ne, nq)))
-        ones = np.ones(nq)  # K @ ones is several times faster than K.sum
         step = max(1, _CHUNK // nq ** 2)
         for c in range(0, len(pairs), step):
             ix, jz = i[pairs[c:c + step]], j[pairs[c:c + step]]
+            hh = dm.h[ix] * dm.h[jz]
             x = dm.lo[ix, None] + dm.h[ix, None] * t
             z = dm.lo[jz, None] + dm.h[jz, None] * t
             K = z[:, None, :] - x[:, :, None]
             np.power(K, -1.0 - 2.0 * s, out=K)
-            K *= (dm.h[ix] * dm.h[jz])[:, None, None] * np.outer(wt, wt)
-            np.add.at(wx, ix, K @ ones)
-            np.add.at(wz, jz, ones @ K)
-            cross = -2.0 * (sx @ K) @ sz.T
-            gx, gz = dm.dofs(ix), dm.dofs(jz)
-            _scatter(A, gx, gz, cross)
-            _scatter(A, gz, gx, cross.swapaxes(1, 2))
+            hw = hh[:, None] * wt
+            np.add.at(wx, ix, hw * (K @ wt))
+            np.add.at(wz, jz, hw * (wt @ K))
+            cross = (sxw @ K) @ szw.T
+            cross *= -2.0 * hh[:, None, None]
+            _scatter(A, dm.dofs(ix), dm.dofs(jz), cross)
     for (p, nq), w in sums.items():
         es = np.flatnonzero(w.any(axis=1))
         sx = _gauss_shapes(p, nq)
@@ -288,26 +293,58 @@ def _endpoint_blocks(dm, s, quad_offset):
         yield e, (ratios * weights) @ ratios.T
 
 
+def _check_ascending(dm):
+    """The active dofs, read element by element, must not descend: only
+    then does every disjoint cross block lie in the upper triangle."""
+    g = dm.table[dm.table >= 0]  # row by row
+    if (np.diff(g) < 0).any():
+        raise ValueError("the dof table must number the dofs left to right, "
+                         "ascending within and across elements")
+
+
+# rows per tile of the final scale-and-mirror: 64 was the fastest of
+# 32..256 at N = 419 and N = 1199
+_TILE = 64
+_STRICT_LOWER = np.tri(_TILE, _TILE, -1, dtype=bool)
+
+
+def _symmetric_from_upper(work, n, scale):
+    """The exactly symmetric n x n matrix whose upper triangle is scale
+    times that of work[:n, :n], built one tile row at a time: each row of
+    tiles is scaled into a new contiguous array and mirrored there in
+    place, with no n x n temporary.  (Returning the strided view work[:n, :n]
+    instead raised the peak RSS of an L = 24 solve by 0.5 MB.)"""
+    A = np.empty((n, n))
+    for r0 in range(0, n, _TILE):
+        r1 = min(r0 + _TILE, n)
+        np.multiply(work[r0:r1, r0:n], scale, out=A[r0:r1, r0:])
+        diag = A[r0:r1, r0:r1]
+        np.copyto(diag, diag.T, where=_STRICT_LOWER[:r1 - r0, :r1 - r0])
+        A[r1:, r0:r1] = A[r0:r1, r1:].T
+    return A
+
+
 def assemble(dofmap, s, quad_offset=6):
     """Assemble the stiffness matrix of the weak form (stiffness only).
 
     The per-direction point count for each element pair is
     max(p_i, p_j) + quad_offset.  The load is zero; attach one with
-    dataclasses.replace(system, load=...).
+    dataclasses.replace(system, load=...).  The dof table must ascend left
+    to right (ValueError otherwise), as build_dof_map numbers it.
     """
     _check_s(s)
     s = float(s)
     quad_offset = _check_offset(quad_offset)
+    _check_ascending(dofmap)
     N = dofmap.n_dofs
-    A = np.zeros((N, N))
-    _identical_blocks(A, dofmap, s, quad_offset)
-    _adjacent_blocks(A, dofmap, s, quad_offset)
-    _disjoint_blocks(A, dofmap, s, quad_offset)
+    work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
+    _identical_blocks(work, dofmap, s, quad_offset)
+    _adjacent_blocks(work, dofmap, s, quad_offset)
+    _disjoint_blocks(work, dofmap, s, quad_offset)
     for e, block in _endpoint_blocks(dofmap, s, quad_offset):
         g = dofmap.dofs([e])
-        _scatter(A, g, g, 2.0 * block[None])
-    A *= 0.5 * kernel_constant(s)
-    A += np.tril(A, -1).T  # mirror the lower triangle once
+        _scatter(work, g, g, 2.0 * block[None])
+    A = _symmetric_from_upper(work, N, 0.5 * kernel_constant(s))
     if not np.all(np.isfinite(A)):
         raise RuntimeError("stiffness assembly produced non-finite entries")
     return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)

@@ -5,10 +5,12 @@ per-element degree assignment and zero trace at the domain endpoints.  The
 local basis is nodal (Lagrange cardinal functions on the Gauss-Lobatto
 points), so interpolation at those points is a coefficient read-off.
 
-Global numbering: the 2L+1 interior vertices come first, left to right,
-then the element-internal dofs element by element.  The two endpoint
-vertex dofs are constrained to zero and carry the sentinel index -1 in the
-element table of the DofMap, which also holds the element bounds.
+Global numbering: left to right.  Element e holds the consecutive indices
+off_e - 1, ..., off_e + p_e - 1 with off_e = p_0 + ... + p_{e-1}, its right
+vertex being the left vertex of element e + 1, so the dofs of element i lie
+below those of every element j >= i + 2.  The two endpoint vertex dofs are
+constrained to zero and carry the sentinel index -1 in the element table of
+the DofMap, which also holds the element bounds.
 """
 
 from __future__ import annotations
@@ -152,7 +154,9 @@ class DofMap:
     table[e, k] is the global index of local shape k on element e (0-based
     element, local 0 = left vertex, local p_e = right vertex), -1 for a
     constrained endpoint dof and for the padding past p_e, so element e
-    reads table[e, :degrees[e] + 1].
+    reads table[e, :degrees[e] + 1].  Read row by row, the active indices
+    ascend: table[e, k] = p_0 + ... + p_{e-1} + k - 1, on which assembly
+    relies.
 
     lo and hi are the element bounds and h = hi - lo: the finite element
     space lives on the stored mesh nodes.
@@ -177,19 +181,15 @@ class DofMap:
 
 
 def build_dof_map(mesh, rule):
-    """Assign global dof indices: interior vertices first, then internals
-    element by element."""
+    """Assign global dof indices left to right: element e holds
+    off_e - 1 .. off_e + p_e - 1, off_e = p_0 + ... + p_{e-1}."""
     degrees = rule.degrees(mesh)
-    ne = len(degrees)
-    table = np.full((ne, degrees.max() + 1), -1)
-    vertices = np.arange(ne - 1)  # interior vertex v joins elements v, v+1
-    table[vertices + 1, 0] = vertices
-    table[vertices, degrees[:-1]] = vertices
-    k = np.arange(table.shape[1])
-    internal = (k >= 1) & (k < degrees[:, None])
-    n_dofs = ne - 1 + int(internal.sum())
-    # a boolean mask assigns in row-major order, so element by element
-    table[internal] = np.arange(ne - 1, n_dofs)
+    off = np.cumsum(degrees) - degrees
+    n_dofs = int(degrees.sum()) - 1
+    k = np.arange(degrees.max() + 1)
+    table = off[:, None] - 1 + k  # local 0 of element 0 is already -1
+    table[k > degrees[:, None]] = -1
+    table[-1, degrees[-1]] = -1
     table.flags.writeable = False
     h = np.diff(mesh.nodes)
     h.flags.writeable = False

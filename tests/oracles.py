@@ -4,7 +4,9 @@ The double-integral oracle evaluates the inner z-integral in closed form
 (polynomial shift plus power-function antiderivatives) and the outer
 x-integral with QUADPACK adaptive quadrature; the complement-term oracle is
 fully adaptive.  Nothing here shares an evaluation path with the package's
-product quadrature schemes.
+product quadrature schemes.  Two small helpers shared by several test files
+close the module: a degree rule with no two neighbouring elements of one
+degree, and the dof permutation of the reflection x -> a + b - x.
 """
 
 import numpy as np
@@ -164,3 +166,27 @@ def oracle_stiffness(mesh, dofmap, s, epsabs=1e-12):
                 if g[k] != g[l]:
                     A[g[l], g[k]] += C * val
     return A
+
+
+class MixedDegrees:
+    """Degrees 1, 2, ..., 4, 1, 2, ... left to right: a map on which
+    neighbouring elements never share a degree."""
+
+    def degrees(self, mesh):
+        return 1 + np.arange(mesh.n_elements) % 4
+
+
+def reflection_permutation(dofmap):
+    """perm with perm[g] the dof that the reflection x -> a + b - x maps dof
+    g to: local k of element e goes to local p_e - k of element E-1-e, the
+    vertices included.  Needs a degree vector symmetric under reflection."""
+    E = len(dofmap.degrees)
+    perm = np.full(dofmap.n_dofs, -1)
+    for e in range(E):
+        p = int(dofmap.degrees[e])
+        assert p == dofmap.degrees[E - 1 - e]
+        src = dofmap.table[e, :p + 1]
+        dst = dofmap.table[E - 1 - e, p::-1]
+        perm[src[src >= 0]] = dst[src >= 0]
+    assert sorted(perm) == list(range(dofmap.n_dofs))
+    return perm

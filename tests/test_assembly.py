@@ -13,7 +13,7 @@ from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
 from frachp.assembly import _complement_weights, _endpoint_blocks
 from frachp.basis import _shape_matrix
 from frachp.quadrature import _rule01
-from oracles import oracle_stiffness
+from oracles import MixedDegrees, oracle_stiffness, reflection_permutation
 from pair_reference import pair_quadrature
 
 
@@ -167,13 +167,18 @@ def complement_block(dm, s, e, quad_offset):
     return (vals * (w * (hi - lo) * kappa)) @ vals.T
 
 
-@pytest.mark.parametrize("kind", ["uniform", "reduced"])
+def make_rule(kind, p):
+    """DegreeRule(kind, p), or MixedDegrees for kind "mixed"."""
+    return MixedDegrees() if kind == "mixed" else DegreeRule(kind, p)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "reduced", "mixed"])
 @pytest.mark.parametrize("s", [0.02, 0.3, 0.5, 0.7, 0.98])
 @pytest.mark.parametrize("L", [0, 1, 3, 6])
 def test_batched_assembly_matches_per_pair(kind, s, L):
     # L = 0 has no disjoint pair; L = 1 is the first mesh with one
     mesh = build_geometric_mesh((-1, 1), 0.6, L)
-    dm = build_dof_map(mesh, DegreeRule(kind, L + 2))
+    dm = build_dof_map(mesh, make_rule(kind, L + 2))
     for quad_offset in (3, 6, 12):
         A = assemble(dm, s, quad_offset=quad_offset).stiffness
         ref = per_pair_stiffness(mesh, dm, s, quad_offset)
@@ -181,16 +186,35 @@ def test_batched_assembly_matches_per_pair(kind, s, L):
 
 
 @pytest.mark.parametrize("s", [0.02, 0.5, 0.98])
-@pytest.mark.parametrize("kind, L", [("reduced", 6), ("uniform", 10)])
+@pytest.mark.parametrize("kind, L", [("reduced", 6), ("uniform", 10),
+                                     ("mixed", 6)])
 def test_disjoint_chunking_changes_nothing(monkeypatch, kind, s, L):
     # a chunk of one kernel entry puts one pair in each batch; the self
     # terms are then summed per element in another order
     dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
-                       DegreeRule(kind, L + 2))
+                       make_rule(kind, L + 2))
     A = assemble(dm, s).stiffness
     monkeypatch.setattr(assembly_mod, "_CHUNK", 1)
     per_pair = assemble(dm, s).stiffness
     assert np.abs(A - per_pair).max() <= 1e-15 * np.abs(A).max()
+
+
+def test_assemble_rejects_dof_table_out_of_order():
+    # numbered right to left, the same space would put every disjoint
+    # cross block in the lower triangle, which the scatter never reads
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, 2),
+                       DegreeRule.uniform(2))
+    flipped = np.where(dm.table >= 0, dm.n_dofs - 1 - dm.table, -1)
+    with pytest.raises(ValueError, match="left to right"):
+        assemble(replace(dm, table=flipped), 0.5)
+    # vertices first, then the element-internal dofs
+    ne = len(dm.h)
+    table = np.full_like(dm.table, -1)
+    table[1:, 0] = table[:-1, 2] = np.arange(ne - 1)
+    table[:, 1] = np.arange(ne - 1, dm.n_dofs)
+    with pytest.raises(ValueError, match="left to right"):
+        assemble(replace(dm, table=table), 0.5)
+    assemble(dm, 0.5)
 
 
 @pytest.mark.parametrize("call", [
@@ -268,15 +292,7 @@ def test_load_vector_antisymmetric_for_odd_f():
     mesh = build_geometric_mesh((-1, 1), 0.6, 2)
     dm = build_dof_map(mesh, DegreeRule.uniform(2))
     b = assemble_load(lambda x: x, dm)
-    # reflection dof map: vertex v <-> 2L+2-v, internal (e,k) <-> (E-1-e,p-k)
-    L, E = mesh.layers, mesh.n_elements
-    perm = np.empty(dm.n_dofs, dtype=int)
-    for v in range(1, 2 * L + 2):
-        perm[v - 1] = 2 * L + 1 - v
-    for e in range(E):
-        p = int(dm.degrees[e])
-        for k in range(1, p):
-            perm[dm.table[e, k]] = dm.table[E - 1 - e, p - k]
+    perm = reflection_permutation(dm)
     np.testing.assert_allclose(b + b[perm], 0.0, atol=1e-15)
 
 
@@ -342,7 +358,7 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
 
 
 def test_assembly_peak_memory_one_mirror_temporary():
-    # the matrix, one N x N temporary for the mirror, and small batches:
+    # the (N+1) x (N+1) work array, the N x N result and small batches:
     # the disjoint chunks must stay small on the largest mesh too
     for L in (14, 24):
         mesh = build_geometric_mesh((-1, 1), 0.6, L)

@@ -8,6 +8,7 @@ from frachp import (DegreeRule, DerivativeRecurrence, build_dof_map,
                     eval_fem_function, gauss_lobatto_nodes,
                     weighted_derivative_norms)
 from frachp.basis import _legendre_pair, _shape_deriv_matrix, _shape_matrix
+from oracles import MixedDegrees
 
 
 def test_lobatto_small_degrees():
@@ -119,14 +120,6 @@ def test_reduced_rule_matches_uniform_for_p1():
                                   DegreeRule.uniform(1).degrees(mesh))
 
 
-class MixedDegrees:
-    """Degrees 1, 2, ..., 4, 1, 2, ... left to right: a map on which
-    neighbouring elements never share a degree."""
-
-    def degrees(self, mesh):
-        return 1 + np.arange(mesh.n_elements) % 4
-
-
 def test_vertex_dofs_shared_and_endpoints_constrained():
     for rule, L in itertools.product(
             (DegreeRule.uniform(3), DegreeRule.reduced(3), MixedDegrees()),
@@ -138,14 +131,17 @@ def test_vertex_dofs_shared_and_endpoints_constrained():
             assert dm.table[e, dm.degrees[e]] == dm.table[e + 1, 0]
         assert dm.table[0, 0] == -1
         assert dm.table[ne - 1, dm.degrees[ne - 1]] == -1
-        # interior vertices first, then the internal dofs element by element
-        internal = iter(range(2 * L + 1, dm.n_dofs))
+        # left to right: element e holds off_e - 1 .. off_e + p_e - 1 with
+        # off_e = p_0 + ... + p_{e-1}, the two endpoints constrained
+        off = 0
         for e in range(ne):
-            g = dm.table[e, :dm.degrees[e] + 1]
-            right = -1 if e == ne - 1 else e
-            inner = [next(internal) for _ in range(1, int(dm.degrees[e]))]
-            assert g.tolist() == [e - 1] + inner + [right]
-        assert next(internal, None) is None
+            p = int(dm.degrees[e])
+            want = list(range(off - 1, off + p))
+            if e == ne - 1:
+                want[-1] = -1
+            assert dm.table[e, :p + 1].tolist() == want
+            off += p
+        assert dm.n_dofs == off - 1
         # the padded table: dofs(es) stacks the rows of elements es, and
         # every entry past an element's degree is -1
         for p in np.unique(dm.degrees).tolist():
@@ -162,10 +158,10 @@ def test_dofs_rejects_mixed_degrees():
     # one stacked array cannot hold both rows without truncating row 1
     mesh = build_geometric_mesh((-1, 1), 0.5, 3)
     dm = build_dof_map(mesh, DegreeRule.reduced(4))
-    assert dm.table[1, :5].tolist() == [0, 7, 8, 9, 1]
+    assert dm.table[1, :5].tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError, match=r"degrees \[1, 4\]"):
         dm.dofs([0, 1])
-    assert dm.dofs([1, 2]).tolist() == [[0, 7, 8, 9, 1], [1, 10, 11, 12, 2]]
+    assert dm.dofs([1, 2]).tolist() == [[0, 1, 2, 3, 4], [4, 5, 6, 7, 8]]
     assert dm.dofs([0]).tolist() == [[-1, 0]]
 
 

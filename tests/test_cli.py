@@ -112,6 +112,16 @@ def test_energy_gap_failure_exits_3(capsys, monkeypatch):
     assert "s=0.5, L=2" in capsys.readouterr().err
 
 
+def test_interp_study_failure_exits_3_naming_s_and_L(capsys):
+    # beta' = 1e-4 leaves a weight exponent of -0.9996 on the boundary
+    # elements, too close to -1 for the weighted integral to settle
+    assert run(["interp-study", "--s", "0.5", "--levels", "3",
+                "--eps-prime", "0.4999"]) == 3
+    err = capsys.readouterr().err
+    assert "s=0.5, L=1" in err
+    assert "did not stabilize" in err
+
+
 def test_solve_rejects_multiple_s(capsys):
     assert run(["solve", "--s", "0.3,0.5"]) == 2
     assert "--s" in capsys.readouterr().err

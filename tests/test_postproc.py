@@ -10,6 +10,7 @@ from frachp import (DegreeRule, convergence_study, energy_error, exact_energy,
                     exact_solution, records_to_csv, solve_problem)
 from frachp.linsolve import Solution
 from frachp.postproc import CSV_HEADER, EnergyGapError, solve_record
+from oracles import reflection_permutation
 
 # closed-form energies, frozen after verification against the adaptive
 # integral of the closed-form solution (agreement ~1e-15)
@@ -97,15 +98,8 @@ def test_error_not_increased_by_extra_degree():
 
 
 def test_solution_reflection_symmetric_for_even_data():
-    mesh, dm, system, sol = solve_problem(0.3, 0.6, 3, DegreeRule.uniform(3))
-    L, E = mesh.layers, mesh.n_elements
-    perm = np.empty(dm.n_dofs, dtype=int)
-    for v in range(1, 2 * L + 2):
-        perm[v - 1] = 2 * L + 1 - v
-    for e in range(E):
-        p = int(dm.degrees[e])
-        for k in range(1, p):
-            perm[dm.table[e, k]] = dm.table[E - 1 - e, p - k]
+    _, dm, _, sol = solve_problem(0.3, 0.6, 3, DegreeRule.uniform(3))
+    perm = reflection_permutation(dm)
     np.testing.assert_allclose(sol.coeffs, sol.coeffs[perm], atol=1e-10)
 
 
