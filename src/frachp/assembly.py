@@ -162,12 +162,14 @@ def _identical_blocks(A, dm, s, quad_offset):
         _scatter(A, g, g, dm.h[es, None, None] ** (1.0 - 2.0 * s) * ref)
 
 
-def _adjacent_table(s, n, pi, pj):
-    """Angular slices of the adjacent block for degrees (pi, pj): row
-    (t, u) holds sum_q wq/xi^2 r_k r_l over the radial points of triangle t
-    at angular point u, r being the divided-difference rows with the shared
+def _adjacent_table(scheme, pi, pj):
+    """Angular slices of the adjacent block for degrees (pi, pj) on the
+    scheme (rho_x, rho_z, xi, wq) of _adjacent_scheme(s, n): row (t, u)
+    holds sum_q wq/xi^2 r_k r_l over the radial points of triangle t at
+    angular point u, r being the divided-difference rows with the shared
     vertex merged; shape (2n, m*m), m = pi + pj + 1."""
-    rho_x, rho_z, xi, wq = _adjacent_scheme(s, n)
+    rho_x, rho_z, xi, wq = scheme
+    n = len(xi)
     # points ordered (t, u, q): each (k, q) slice below is a strided matrix
     rho_x, rho_z = rho_x.transpose(0, 2, 1), rho_z.transpose(0, 2, 1)
     m = pi + pj + 1
@@ -186,19 +188,23 @@ def _adjacent_blocks(A, dm, s, quad_offset):
 
     The weight of a point factors into a radial part wq / xi^2, held in the
     table, and a per-pair part h_x h_z wu ell^(-1-2s) in the angular
-    variable, so each block is one row of weights times the table.
+    variable, so each block is one row of weights times the table.  The
+    scheme depends on the point count alone, so degree pairs with the same
+    count share it.
     """
-    e = np.arange(len(dm.h) - 1)
-    keys = np.stack((dm.degrees[:-1], dm.degrees[1:]), axis=1)
-    for pi, pj in np.unique(keys, axis=0).tolist():
-        es = e[(keys[:, 0] == pi) & (keys[:, 1] == pj)]
+    left, right = dm.degrees[:-1], dm.degrees[1:]
+    schemes = {}
+    for pi, pj in sorted(set(zip(left.tolist(), right.tolist()))):
+        es = np.flatnonzero((left == pi) & (right == pj))
         n = max(pi, pj) + quad_offset
+        if n not in schemes:
+            schemes[n] = _adjacent_scheme(s, n)
         tu, wu = _rule01(n)
         hx, hz = dm.h[es, None], dm.h[es + 1, None]
         weights = 2.0 * hx[:, None] * hz[:, None] * wu * _adjacent_lengths(
             tu, hx, hz) ** (-1.0 - 2.0 * s)
         blocks = weights.reshape(len(es), 2 * n) @ _adjacent_table(
-            s, n, pi, pj)  # the table is freed before the scatter
+            schemes[n], pi, pj)  # the table is freed before the scatter
         g = np.concatenate((dm.dofs(es)[:, :pi], dm.dofs(es + 1)), axis=1)
         _scatter(A, g, g, blocks.reshape(len(es), pi + pj + 1, -1))
 

@@ -9,7 +9,12 @@ from frachp import (DegreeRule, DivergentIntegralError,
                     build_hp_interpolant, eval_fem_function,
                     exact_solution, gauss_lobatto_interpolant, endpoint_interpolation_check,
                     linear_endpoint_interpolant, weighted_derivative_norms)
-from frachp.approx import DerivativeRecurrence, interpolant_weighted_error
+from frachp import approx
+from frachp.approx import (DerivativeRecurrence, _stabilized_integral,
+                           _weighted_rule, interpolant_weighted_error)
+from frachp.basis import _element_eval, gauss_lobatto_nodes
+from frachp.postproc import solution_constant
+from frachp.quadrature import _rule01
 
 ONES = lambda x: np.ones_like(np.asarray(x, dtype=float))
 ZEROS = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -234,3 +239,185 @@ def test_derivative_norms_rejects_bad_epsilon():
 def test_interpolant_weighted_error_decays():
     errs = [interpolant_weighted_error(0.5, 0.6, L) for L in (2, 4, 6)]
     assert errs[0] > errs[1] > errs[2]
+
+
+# References: the element-by-element evaluation and the one-rule-at-a-time
+# doubling that the batched code of `approx` replaced, kept verbatim.
+
+def reference_stabilized_integral(g, length, exponent):
+    if exponent <= -1.0:
+        raise DivergentIntegralError(
+            f"weight exponent {exponent} is not integrable")
+    vals = []
+    n, n_max, rtol = 32, 1024, 1e-9
+    while True:
+        t, w = _weighted_rule(n, exponent, 0.0)
+        vals.append(length ** (exponent + 1.0)
+                    * float(w @ np.asarray(g(length * t), dtype=float)))
+        if len(vals) >= 2:
+            if abs(vals[-1] - vals[-2]) <= rtol * max(abs(vals[-1]), 1e-300):
+                return vals[-1]
+        if n >= n_max:
+            break
+        n *= 2
+    d1 = abs(vals[-2] - vals[-3])
+    d2 = abs(vals[-1] - vals[-2])
+    if d1 > 0.0 and d2 < 0.9 * d1:
+        rho = d2 / d1
+        return vals[-1] + (vals[-1] - vals[-2]) * rho / (1.0 - rho)
+    raise DivergentIntegralError(
+        f"weighted integral did not stabilize (last values {vals[-3:]}); "
+        "the integrand appears non-integrable")
+
+
+def reference_hp_interpolant(u, dofmap):
+    mesh = dofmap.mesh
+    tol = 1e-10 * max(1.0, abs(float(u(0.5 * (mesh.a + mesh.b)))))
+    if abs(float(u(mesh.a))) > tol or abs(float(u(mesh.b))) > tol:
+        raise ValueError("interpolated function must vanish at the domain "
+                         "endpoints")
+    coeffs = np.zeros(dofmap.n_dofs)
+    for lo, h, p, row in zip(dofmap.lo, dofmap.h, dofmap.degrees.tolist(),
+                             dofmap.table):
+        g = row[:p + 1]
+        x = lo + 0.5 * h * (gauss_lobatto_nodes(p) + 1.0)
+        coeffs[g[g >= 0]] = np.asarray(u(x), dtype=float)[g >= 0]
+    return coeffs
+
+
+def reference_boundary_error_sq(u, du, dofmap, coeffs, e, beta_p):
+    h = dofmap.h[e]
+    left = e == 0
+    endpoint = dofmap.mesh.a if left else dofmap.mesh.b
+    sign = 1.0 if left else -1.0
+
+    def phys(t):
+        return endpoint + sign * t * t
+
+    def value_integrand(t):
+        x = phys(t)
+        err = u(x) - _element_eval(dofmap, coeffs, e, x)
+        return (err / t) ** 2
+
+    def deriv_integrand(t):
+        x = phys(t)
+        err = du(x) - _element_eval(dofmap, coeffs, e, x, derivative=True)
+        return (t * err) ** 2
+
+    expo = 4.0 * beta_p - 1.0
+    total = reference_stabilized_integral(value_integrand, math.sqrt(h), expo)
+    total += reference_stabilized_integral(deriv_integrand, math.sqrt(h),
+                                           expo)
+    return 2.0 * total
+
+
+def reference_weighted_error(s, sigma, L, eps_prime=0.05):
+    beta_p = 1.0 - s - eps_prime
+    mesh = build_geometric_mesh((-1.0, 1.0), sigma, L)
+    u = exact_solution(s)
+    c = solution_constant(s)
+
+    def du(x):
+        x = np.asarray(x, dtype=float)
+        return -2.0 * s * c * x * (1.0 - x * x) ** (s - 1.0)
+
+    dofmap = build_dof_map(mesh, DegreeRule.reduced(L))
+    coeffs = reference_hp_interpolant(u, dofmap)
+    total = 0.0
+    for e in range(mesh.n_elements):
+        if e == 0 or e == mesh.n_elements - 1:
+            total += reference_boundary_error_sq(u, du, dofmap, coeffs, e,
+                                                 beta_p)
+            continue
+        h = dofmap.h[e]
+        t, w = _rule01(int(dofmap.degrees[e]) + 24)
+        x = dofmap.lo[e] + h * t
+        r = 1.0 - np.abs(x)
+        ev = u(x) - _element_eval(dofmap, coeffs, e, x)
+        ed = du(x) - _element_eval(dofmap, coeffs, e, x, derivative=True)
+        total += h * float(w @ (r ** (2.0 * beta_p) * ed ** 2
+                                + r ** (2.0 * beta_p - 2.0) * ev ** 2))
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_batched_weighted_error_matches_element_loop(s):
+    for L in (1, 2, 5, 10, 14):
+        with np.errstate(divide="ignore"):
+            want = reference_weighted_error(s, 0.6, L)
+        if not math.isfinite(want):
+            # at s = 0.9, L = 14 a boundary point rounds onto x = -1, where
+            # du is infinite; the element loop returned inf
+            with pytest.raises(DivergentIntegralError, match="not finite"):
+                interpolant_weighted_error(s, 0.6, L)
+            continue
+        got = interpolant_weighted_error(s, 0.6, L)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), (s, L)
+
+
+# (integrand, exponent, points at which the doubling settles: None for the
+# Aitken step, "diverges" for a growing sequence)
+DOUBLING_CASES = {
+    "settles_at_64": (lambda x: x ** 2, 0.3, 64),
+    "settles_at_1024": (lambda x: np.abs(x - 0.3) ** 2.5, 0.0, 1024),
+    "aitken": (np.sqrt, 0.0, None),
+    "diverges": (lambda x: 1.0 / x, 0.0, "diverges"),
+}
+
+
+class CallLog:
+    """Records the calls of a function, then passes them on."""
+
+    def __init__(self, fn):
+        self.fn, self.args = fn, []
+
+    def __call__(self, *args):
+        self.args.append(args)
+        return self.fn(*args)
+
+
+@pytest.mark.parametrize("case", sorted(DOUBLING_CASES))
+def test_stabilized_integral_bit_equal_to_doubling(case, monkeypatch):
+    g, exponent, settles = DOUBLING_CASES[case]
+    if settles == "diverges":
+        for integral in (reference_stabilized_integral, _stabilized_integral):
+            with pytest.raises(DivergentIntegralError,
+                               match="did not stabilize"):
+                integral(g, 1.0, exponent)
+    else:
+        want = reference_stabilized_integral(g, 0.7, exponent)
+        assert _stabilized_integral(g, 0.7, exponent) == want
+    spy, rules = CallLog(g), CallLog(_weighted_rule)
+    monkeypatch.setattr(approx, "_weighted_rule", rules)
+    try:
+        _stabilized_integral(spy, 0.7, exponent)
+    except DivergentIntegralError:
+        pass
+    assert all(np.ndim(x) == 1 for x, in spy.args)
+    if settles == 64:
+        assert len(spy.args) == 1
+        assert max(n for n, _, _ in rules.args) == 64
+    else:
+        assert len(spy.args) == 2
+        assert max(n for n, _, _ in rules.args) == 1024
+
+
+def test_stabilized_integral_rejects_non_finite_values():
+    # 1 / floor(2x) is infinite on (0, 1/2); numpy's divide-by-zero warning
+    # stays inside, the non-finite value raises
+    with pytest.raises(DivergentIntegralError, match="not finite"):
+        _stabilized_integral(lambda x: 1.0 / np.floor(2.0 * x), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "reduced"])
+def test_hp_interpolant_one_call_per_degree(kind):
+    for L in (1, 3, 10):
+        dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
+                           DegreeRule(kind, L))
+        u = CallLog(exact_solution(0.3))
+        coeffs = build_hp_interpolant(u, dm)
+        assert len(u.args) == len(np.unique(dm.degrees))
+        assert all(np.ndim(x) == 1 for x, in u.args)
+        # shared vertices take the value the element loop gave them
+        np.testing.assert_array_equal(
+            coeffs, reference_hp_interpolant(exact_solution(0.3), dm))

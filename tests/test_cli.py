@@ -122,6 +122,18 @@ def test_interp_study_failure_exits_3_naming_s_and_L(capsys):
     assert "did not stabilize" in err
 
 
+def test_interp_study_non_finite_integral_exits_3(capsys):
+    # beta' = 1e-4 at s = 0.9: a 256-point node of the boundary substitution
+    # x = -1 + t^2 rounds to -1, where du is infinite; the run fails naming
+    # (s, L) instead of printing inf as the weighted error
+    assert run(["interp-study", "--s", "0.9", "--levels", "3",
+                "--eps-prime", "0.0999"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "s=0.9, L=1" in err
+    assert "not finite" in err
+
+
 def test_solve_rejects_multiple_s(capsys):
     assert run(["solve", "--s", "0.3,0.5"]) == 2
     assert "--s" in capsys.readouterr().err
