@@ -10,8 +10,7 @@ from .approx import (DerivativeNormSequence, DerivativeRecurrence,
                      DivergentIntegralError, InterpolationBoundResult,
                      build_hp_interpolant, endpoint_interpolation_check,
                      gauss_lobatto_interpolant, interpolant_weighted_error,
-                     interpolation_error_study, linear_endpoint_interpolant,
-                     weighted_derivative_norms)
+                     interpolation_error_study, weighted_derivative_norms)
 from .assembly import (GalerkinSystem, assemble, assemble_load,
                        complement_weight, kernel_constant)
 from .basis import (DegreeRule, DofMap, build_dof_map, eval_fem_derivative,

@@ -36,7 +36,7 @@ from .quadrature import _jacobi01, _rule01
 __all__ = [
     "DerivativeRecurrence", "DivergentIntegralError",
     "InterpolationBoundResult", "DerivativeNormSequence",
-    "linear_endpoint_interpolant", "endpoint_interpolation_check",
+    "endpoint_interpolation_check",
     "gauss_lobatto_interpolant", "build_hp_interpolant",
     "weighted_derivative_norms", "interpolant_weighted_error",
     "interpolation_error_study",
@@ -101,12 +101,6 @@ def _stabilized_integral(g, length, exponent):
         "the integrand appears non-integrable")
 
 
-def linear_endpoint_interpolant(v):
-    """Linear interpolant of v at the endpoints of [0, 1]."""
-    v0, v1 = float(v(0.0)), float(v(1.0))
-    return Polynomial([v0, v1 - v0])
-
-
 @dataclass(frozen=True)
 class InterpolationBoundResult:
     lhs: float
@@ -126,11 +120,12 @@ def endpoint_interpolation_check(v, dv, d2v, beta_prime, epsilon):
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     bp, eps = beta_prime, epsilon
-    iv = linear_endpoint_interpolant(v)
-    slope = iv.coef[1]
+    # the linear interpolant of v at 0 and 1 is v0 + x * slope
+    v0 = float(v(0.0))
+    slope = float(v(1.0)) - v0
 
     def err_over_x(x):
-        return (np.asarray(v(x), dtype=float) - iv(x)) / x
+        return (np.asarray(v(x), dtype=float) - (v0 + x * slope)) / x
 
     def derr(x):
         return np.asarray(dv(x), dtype=float) - slope

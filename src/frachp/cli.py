@@ -4,13 +4,13 @@ studies, and mesh dumps, all emitting deterministic CSV."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import approx, postproc
 from .geomesh import build_geometric_mesh
-from .linsolve import NotSPDError
 
 __all__ = ["run", "main"]
 
@@ -18,16 +18,33 @@ CONVERGENCE_HEADER = postproc.CSV_HEADER + ",guide_uniform,guide_reduced"
 INTERP_HEADER = "p,L,sigma,s,weighted_error"
 
 
-class _Invalid(ValueError):
-    """Validation failure carrying the offending flag name."""
+def _checked(convert, ok, what):
+    """An argparse type that accepts convert(text) where ok holds; for any
+    other value argparse names the flag and exits 2."""
 
-    def __init__(self, flag, message):
-        super().__init__(f"invalid value for {flag}: {message}")
-        self.flag = flag
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
 
 
-def _float_list(text):
+def _floats(text):
     return [float(tok) for tok in text.split(",")]
+
+
+_unit = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
+_orders = _checked(_floats, lambda xs: all(0.0 < x < 1.0 for x in xs),
+                   "a comma-separated list of numbers in (0, 1)")
+_layers = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_nonneg = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_domain = _checked(_floats, lambda d: len(d) == 2 and d[0] < d[1]
+                   and all(map(math.isfinite, d)), "two finite values a < b")
 
 
 def _parser():
@@ -38,66 +55,48 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, error=p.error)
+        return p
+
     def common(p, solver=True):
-        p.add_argument("--s", type=_float_list, default=[0.5],
+        p.add_argument("--s", type=_orders, default=[0.5],
                        help="comma-separated fractional orders in (0,1)")
-        p.add_argument("--sigma", type=float, default=0.6,
+        p.add_argument("--sigma", type=_unit, default=0.6,
                        help="mesh grading factor in (0,1)")
-        p.add_argument("--levels", type=int, default=10,
+        p.add_argument("--levels", type=_layers, default=10,
                        help="number of refinement layers L")
         if solver:
             p.add_argument("--rule", choices=("uniform", "reduced"),
                            default="uniform", help="degree rule (p = L)")
-            p.add_argument("--quad-offset", type=int, default=6,
+            p.add_argument("--quad-offset", type=_nonneg, default=6,
                            help="quadrature points per direction = p + offset")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p_conv = sub.add_parser("convergence", help="run the L = 1..levels study")
-    common(p_conv)
+    common(command("convergence", _cmd_convergence,
+                   "run the L = 1..levels study"))
 
-    p_solve = sub.add_parser("solve", help="solve one configuration (p = levels)")
+    p_solve = command("solve", _cmd_solve,
+                      "solve one configuration (p = levels)")
     common(p_solve)
     p_solve.add_argument("--dump-matrix", metavar="PREFIX", default=None,
                          help="write stiffness/load as PREFIX_A.csv, PREFIX_b.csv")
 
-    p_interp = sub.add_parser("interp-study",
-                              help="weighted interpolation-error sweep")
+    p_interp = command("interp-study", _cmd_interp_study,
+                       "weighted interpolation-error sweep")
     common(p_interp, solver=False)
     p_interp.add_argument("--eps-prime", type=float, default=0.05,
                           help="weight offset: beta' = 1 - s - eps_prime")
 
-    p_mesh = sub.add_parser("mesh", help="dump mesh nodes as CSV, one per line")
-    p_mesh.add_argument("--sigma", type=float, default=0.6)
-    p_mesh.add_argument("--levels", type=int, default=10)
-    p_mesh.add_argument("--domain", type=_float_list, default=[-1.0, 1.0],
+    p_mesh = command("mesh", _cmd_mesh, "dump mesh nodes as CSV, one per line")
+    p_mesh.add_argument("--sigma", type=_unit, default=0.6)
+    p_mesh.add_argument("--levels", type=_nonneg, default=10)
+    p_mesh.add_argument("--domain", type=_domain, default=[-1.0, 1.0],
                         help="interval endpoints a,b")
     p_mesh.add_argument("--out", default=None)
 
     return parser
-
-
-def _validate(args):
-    if hasattr(args, "sigma") and not 0.0 < args.sigma < 1.0:
-        raise _Invalid("--sigma", f"{args.sigma} not in (0, 1)")
-    if hasattr(args, "levels") and args.levels < 0:
-        raise _Invalid("--levels", f"{args.levels} is negative")
-    if args.subcommand != "mesh" and args.levels < 1:
-        raise _Invalid("--levels",
-                       f"{args.subcommand} needs at least one layer")
-    if getattr(args, "quad_offset", 0) < 0:
-        raise _Invalid("--quad-offset", f"{args.quad_offset} is negative")
-    for s in getattr(args, "s", []):
-        if not 0.0 < s < 1.0:
-            raise _Invalid("--s", f"{s} not in (0, 1)")
-        beta_p = 1.0 - s - getattr(args, "eps_prime", 0.0)
-        if not 0.0 < beta_p < 1.0:
-            raise _Invalid("--eps-prime", f"beta' = 1 - s - eps_prime = "
-                           f"{beta_p} not in (0, 1) at s={s}")
-    if args.subcommand == "solve" and len(args.s) != 1:
-        raise _Invalid("--s", "solve expects a single fractional order")
-    domain = getattr(args, "domain", (0.0, 1.0))
-    if len(domain) != 2 or not (np.isfinite(domain).all() and domain[0] < domain[1]):
-        raise _Invalid("--domain", f"{domain} is not two finite endpoints a < b")
 
 
 def _write(text, path):
@@ -123,6 +122,9 @@ def _cmd_convergence(args):
 
 
 def _cmd_solve(args):
+    if len(args.s) != 1:
+        args.error(f"argument --s: solve takes one fractional order, "
+                   f"got {len(args.s)}")
     record, system = postproc.solve_record(
         args.s[0], args.sigma, args.levels, args.rule,
         quad_offset=args.quad_offset)
@@ -135,6 +137,10 @@ def _cmd_solve(args):
 
 
 def _cmd_interp_study(args):
+    for s in args.s:  # the library's own beta' check does not name the flag
+        if not 0.0 < 1.0 - s - args.eps_prime < 1.0:
+            args.error(f"argument --eps-prime: beta' = 1 - s - eps_prime = "
+                       f"{1.0 - s - args.eps_prime} not in (0, 1) at s={s}")
     lines = [INTERP_HEADER]
     for s in args.s:
         for p, L, sigma, s_val, err in approx.interpolation_error_study(
@@ -150,30 +156,22 @@ def _cmd_mesh(args):
     return 0
 
 
-_COMMANDS = {
-    "convergence": _cmd_convergence,
-    "solve": _cmd_solve,
-    "interp-study": _cmd_interp_study,
-    "mesh": _cmd_mesh,
-}
-
-
 def run(argv=None):
     """Parse arguments and execute; returns the process exit code.
 
-    0 on success, 2 on validation errors, 3 on numerical failures.
+    0 on success; 2 on a bad argument (argparse names the flag), on a
+    ValueError, or on an output path that cannot be written; 3 on a
+    numerical failure.
     """
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
+        return args.handler(args)
+    except SystemExit as exc:  # argparse: --help, or an error naming a flag
         return int(exc.code) if exc.code else 0
-    try:
-        _validate(args)
-        return _COMMANDS[args.subcommand](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotSPDError, RuntimeError, FloatingPointError) as exc:
+    except (RuntimeError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -8,7 +8,7 @@ from frachp import (DegreeRule, DivergentIntegralError,
                     build_dof_map, build_geometric_mesh,
                     build_hp_interpolant, eval_fem_function,
                     exact_solution, gauss_lobatto_interpolant, endpoint_interpolation_check,
-                    linear_endpoint_interpolant, weighted_derivative_norms)
+                    weighted_derivative_norms)
 from frachp import approx
 from frachp.approx import (DerivativeRecurrence, _stabilized_integral,
                            _weighted_rule, interpolant_weighted_error)
@@ -63,12 +63,13 @@ def test_weighted_h1_norm_against_adaptive_oracle():
 
 
 def test_linear_endpoint_interpolant():
-    p = linear_endpoint_interpolant(lambda x: 3.0 * x - 1.0)
-    np.testing.assert_allclose(p.coef, [-1.0, 3.0], atol=1e-15)
-    p2 = linear_endpoint_interpolant(lambda x: x ** 2)
-    np.testing.assert_allclose(p2.coef, [0.0, 1.0], atol=1e-15)
-    p3 = linear_endpoint_interpolant(lambda x: x ** 0.7)
-    np.testing.assert_allclose(p3.coef, [0.0, 1.0], atol=1e-15)
+    # degree 1 on (0, 1) interpolates at the endpoints: c0 + c1 x
+    xs = np.linspace(0, 1, 5)
+    for v, (c0, c1) in ((lambda x: 3.0 * x - 1.0, (-1.0, 3.0)),
+                        (lambda x: x ** 2, (0.0, 1.0)),
+                        (lambda x: x ** 0.7, (0.0, 1.0))):
+        p = gauss_lobatto_interpolant(v, (0.0, 1.0), 1)
+        np.testing.assert_allclose(p(xs), c0 + c1 * xs, atol=1e-15)
 
 
 def test_linear_interpolant_half_one():

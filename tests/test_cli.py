@@ -1,5 +1,9 @@
-import numpy as np
+import warnings
 
+import numpy as np
+import pytest
+
+import frachp.approx
 import frachp.postproc
 from frachp.cli import CONVERGENCE_HEADER, INTERP_HEADER, run
 
@@ -162,3 +166,56 @@ def test_zero_levels_rejected_except_for_mesh(capsys):
         assert "--levels" in capsys.readouterr().err
     assert run(["mesh", "--levels", "0"]) == 0
     assert capsys.readouterr().out.split() == ["-1", "0", "1"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("mesh --levels -1", "--levels"),
+    ("mesh --sigma 1", "--sigma"),
+    ("mesh --domain 1,0", "--domain"),
+    ("mesh --domain 0,1,2", "--domain"),
+    ("convergence --levels 2.5", "--levels"),
+    ("convergence --sigma 0", "--sigma"),
+    ("convergence --s nan", "--s"),
+    ("convergence --s 0.5,1", "--s"),
+    ("solve --quad-offset 1.5", "--quad-offset"),
+    ("solve --rule cubic", "--rule"),
+    ("solve --s 0.3,0.5", "--s"),
+    ("interp-study --levels 0", "--levels"),
+    ("interp-study --eps-prime nan", "--eps-prime"),
+    ("interp-study --s 0.3,0.6 --eps-prime 0.45", "--eps-prime"),
+])
+def test_bad_argument_names_flag_before_any_work(argv, flag, capsys,
+                                                 monkeypatch):
+    calls = []
+    for module, name in ((frachp.postproc, "solve_problem"),
+                         (frachp.approx, "interpolant_weighted_error")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, **k: calls.append(name))
+    command = argv.split()[0]
+    assert run(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert f"frachp {command}: error: argument {flag}: " in err
+    assert out == "" and calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--s", "0.5", "--levels", "1", "--out"],
+    ["solve", "--s", "0.5", "--levels", "1", "--dump-matrix"],
+])
+def test_unwritable_output_exits_2_naming_path(argv, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x")
+    assert run(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+
+
+def test_degenerate_mesh_exit_codes(capsys):
+    # at sigma = 0.17 the nodes next to -1 and 1 first coincide at L = 22
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["mesh", "--sigma", "0.17", "--levels", "22"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "sigma=0.17 with L=22" in err
+        assert run(["solve", "--sigma", "0.17", "--levels", "22"]) == 3
+        err = capsys.readouterr().err
+        assert "s=0.5, L=22" in err and "sigma=0.17 with L=22" in err

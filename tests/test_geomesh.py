@@ -80,6 +80,15 @@ def test_rejects_bad_arguments():
         build_geometric_mesh((-1, 1), 0.5, -1)
 
 
+@pytest.mark.parametrize("sigma,first_bad", [(0.17, 22), (0.6, 73)])
+def test_degenerate_mesh_raises_naming_sigma_and_L(sigma, first_bad):
+    # half * sigma^L falls below the spacing of doubles next to -1 and 1
+    mesh = build_geometric_mesh((-1, 1), sigma, first_bad - 1)
+    assert (np.diff(mesh.nodes) > 0).all()
+    with pytest.raises(ValueError, match=f"sigma={sigma} with L={first_bad} "):
+        build_geometric_mesh((-1, 1), sigma, first_bad)
+
+
 def test_layer_count_must_be_an_integer():
     with pytest.raises(TypeError):
         build_geometric_mesh((-1, 1), 0.5, 2.5)
