@@ -27,24 +27,25 @@ i < j) with the schemes of the quadrature module, batched per pair class:
   self terms are h_i h_j w K w and h_i h_j w K^T w.  Pairs are batched over
   the whole mesh per degree pair (p_i, p_j) and point count n, in chunks of
   a fixed number of kernel entries; each chunk scatters its cross blocks and
-  adds its self terms to per-element weights, which give one self block per
-  element and (p, n) after the loop.
+  sums its self terms per element.
 
-The complement term enters with these self blocks: the per-element weights
-start as kappa h w at the Gauss points of each element.  On the two
-boundary elements the near-endpoint part of kappa has its own block, its
-singularity removed by factoring the first-order zero of the basis
-functions, leaving a Gauss-Jacobi weight with exponent 2-2s.
+Each element's own block is built in one pass per degree: the identical
+pair plus S_n diag(weights) S_n^T for each point count n, the weights being
+kappa h w at the p + quad_offset Gauss points and the self sums of the
+disjoint pairs.  The near-endpoint part of kappa on the two boundary
+elements has a block of its own, its singularity removed by factoring the
+first-order zero of the basis functions, leaving one Gauss-Jacobi weight
+r^(2-2s) for both ends.
 
 Blocks are added with np.add.at on flat indices into an (N+1) x (N+1) work
 array, whose spare row and column N take the constrained endpoint dofs.
 The dofs are numbered left to right, so every disjoint cross block lies in
-the upper triangle and is scattered once, unmirrored; the blocks of single
-elements and adjacent pairs are scattered whole.  The upper triangle is
-then scaled by C(s)/2 into the contiguous N x N result and mirrored there
-in place, tile by tile, with no N x N temporary.  The load is batched per
-degree on the same Gauss-Legendre shape tables, with points in per-element
-reference coordinates.
+the upper triangle and is scattered once, unmirrored; the adjacent blocks,
+once per degree pair, and the elements' own blocks, once per degree, are
+scattered whole.  The upper triangle is then scaled by C(s)/2 into the
+contiguous N x N result and mirrored there in place, tile by tile, with no
+N x N temporary.  The load is batched per degree on the same Gauss-Legendre
+shape tables, with points in per-element reference coordinates.
 
 assemble(dofmap, s, quad_offset=6) and assemble_load(f, dofmap,
 quad_offset=6) read the element bounds, lengths, degrees and dof rows from
@@ -118,7 +119,7 @@ def complement_weight(domain, s, x):
 def _gauss_shapes(p, n):
     """Degree-p shapes at the n Gauss-Legendre points of an element.
 
-    The table serves every disjoint pair, self block and load batch
+    The table serves every disjoint pair, element block and load batch
     with these (p, n); it depends on neither the element nor s.
     """
     t, _ = _rule01(n)
@@ -144,22 +145,6 @@ def _scatter(A, rows, cols, blocks):
     """
     flat = rows[:, :, None] * A.shape[1] + cols[:, None, :]
     np.add.at(A.reshape(-1), flat.ravel(), blocks.ravel())
-
-
-def _identical_blocks(A, dm, s, quad_offset):
-    """T x T for every element: h^(1-2s) times one reference block per
-    degree, whose rows are the divided differences on the reference
-    element.  They are symmetric in x and z, so the triangle z > x adds
-    what the triangle z < x of the scheme does."""
-    for p in np.unique(dm.degrees).tolist():
-        es = np.flatnonzero(dm.degrees == p)
-        tx, tz, w = _identical_scheme(s, p + quad_offset)
-        rows = _shape_matrix(p, 2.0 * tx - 1.0)
-        rows -= _shape_matrix(p, 2.0 * tz - 1.0)
-        rows /= tx - tz
-        ref = 2.0 * (rows * w) @ rows.T
-        g = dm.dofs(es)
-        _scatter(A, g, g, dm.h[es, None, None] ** (1.0 - 2.0 * s) * ref)
 
 
 def _adjacent_table(scheme, pi, pj):
@@ -217,15 +202,16 @@ def _disjoint_blocks(A, dm, s, quad_offset):
     into h_i h_j times S_x diag(w K w) S_x^T, -(S_x w) K (S_z w)^T (and its
     transpose) and S_z diag(w K^T w) S_z^T.  The cross blocks lie in the
     upper triangle and are scattered once per chunk; the self terms are
-    added to the table of complement weights, so each element gets one self
-    block per (p, n), its complement term included.
+    summed per element and returned as the weights w K w and w K^T w, a
+    {(p, n): (elements, n)} table, zero on the elements of other degrees,
+    for _element_blocks.
     """
     ne = len(dm.h)
     i, j = np.triu_indices(ne, 2)
     pi, pj = dm.degrees[i], dm.degrees[j]
     n = _disjoint_n(np.maximum(pi, pj) + quad_offset, dm.h[i], dm.h[j],
                     dm.lo[j] - dm.hi[i])
-    sums = _complement_weights(dm, s, quad_offset)
+    sums = {}
     for p, q, nq in sorted(set(zip(pi.tolist(), pj.tolist(), n.tolist()))):
         pairs = np.flatnonzero((pi == p) & (pj == q) & (n == nq))
         t, wt = _rule01(nq)
@@ -246,57 +232,71 @@ def _disjoint_blocks(A, dm, s, quad_offset):
             cross = (sxw @ K) @ szw.T
             cross *= -2.0 * hh[:, None, None]
             _scatter(A, dm.dofs(ix), dm.dofs(jz), cross)
-    for (p, nq), w in sums.items():
-        es = np.flatnonzero(w.any(axis=1))
-        sx = _gauss_shapes(p, nq)
-        g = dm.dofs(es)
-        _scatter(A, g, g, 2.0 * (sx * w[es, None, :]) @ sx.T)
-
-
-def _complement_weights(dm, s, quad_offset):
-    """kappa h w at the p + quad_offset Gauss points of every element, as a
-    {(p, n): (elements, n)} table of self-term weights, zero on the elements
-    of other degrees.
-
-    The distances to the endpoints are taken in reference coordinates,
-    (lo - a) + h t and (b - hi) + h (1 - t), so they keep their relative
-    accuracy on the small elements at the boundary.  The near-endpoint term
-    of the two boundary elements is left out for _endpoint_blocks.
-    """
-    a, b = dm.lo[0], dm.hi[-1]
-    two_s = 2.0 * s
-    ne = len(dm.h)
-    table = {}
-    for p in np.unique(dm.degrees).tolist():
-        es = np.flatnonzero(dm.degrees == p)
-        n = p + quad_offset
-        t, w = _rule01(n)
-        h = dm.h[es, None]
-        left = ((dm.lo[es, None] - a) + h * t) ** -two_s
-        right = ((b - dm.hi[es, None]) + h * (1.0 - t)) ** -two_s
-        left[es == 0] = 0.0
-        right[es == ne - 1] = 0.0
-        table[p, n] = np.zeros((ne, n))
-        table[p, n][es] = w * h * (left + right) / two_s
-    return table
+    return sums
 
 
 def _endpoint_blocks(dm, s, quad_offset):
     """int_T phi_k phi_l (dist to the near endpoint)^(-2s) / (2s) on the two
     boundary elements, as (element, block) pairs.
 
-    The first-order zero of the active shapes is factored out and t^(2-2s)
-    (or (1 - t)^(2-2s)) is absorbed into a Gauss-Jacobi weight.
+    The first-order zero of the active shapes is factored out and r^(2-2s),
+    r being the distance to the near endpoint over h, is absorbed into one
+    Gauss-Jacobi rule for both ends; the right end evaluates its shapes at
+    the mirrored points, so its block is the left one's mirror image.
     """
     two_s = 2.0 * s
-    last = len(dm.h) - 1
-    for e, near_exps in ((0, (2.0 - two_s, 0.0)), (last, (0.0, 2.0 - two_s))):
+    for e in (0, len(dm.h) - 1):
         p = int(dm.degrees[e])
-        tj, wj = _jacobi01(p + quad_offset, *near_exps)
-        ratios = _shape_matrix(p, 2.0 * tj - 1.0)
-        ratios /= tj if e == 0 else 1.0 - tj
+        r, wj = _jacobi01(p + quad_offset, 2.0 - two_s, 0.0)
+        x = 2.0 * r - 1.0
+        ratios = _shape_matrix(p, x if e == 0 else -x)
+        ratios /= r
         weights = wj * dm.h[e] ** (1.0 - two_s) / two_s
         yield e, (ratios * weights) @ ratios.T
+
+
+def _element_blocks(A, dm, s, quad_offset, sums):
+    """Each element's own block, twice, scattered once per degree: the
+    identical pair T x T, S_n diag(weights) S_n^T for each point count n,
+    and the near-endpoint block on the two boundary elements.
+
+    The identical pair is h^(1-2s) times one reference block per degree,
+    whose rows are the divided differences on the reference element; they
+    are symmetric in x and z, so the factor 2 also counts the triangle
+    z > x.  The weights are kappa h w at n = p + quad_offset, with the
+    distances to the endpoints in reference coordinates, (lo - a) + h t and
+    (b - hi) + h (1 - t), so they keep their relative accuracy on the small
+    elements at the boundary (the near-endpoint term of the two boundary
+    elements left to _endpoint_blocks), plus the self sums of the disjoint
+    pairs at their own point counts.
+    """
+    a, b = dm.lo[0], dm.hi[-1]
+    two_s = 2.0 * s
+    last = len(dm.h) - 1
+    ends = dict(_endpoint_blocks(dm, s, quad_offset))
+    for p in np.unique(dm.degrees).tolist():
+        es = np.flatnonzero(dm.degrees == p)
+        h, n = dm.h[es, None], p + quad_offset
+        tx, tz, w = _identical_scheme(s, n)
+        rows = _shape_matrix(p, 2.0 * tx - 1.0)
+        rows -= _shape_matrix(p, 2.0 * tz - 1.0)
+        rows /= tx - tz
+        blocks = h[:, :, None] ** (1.0 - two_s) * ((rows * w) @ rows.T)
+        t, w = _rule01(n)
+        left = ((dm.lo[es, None] - a) + h * t) ** -two_s
+        right = ((b - dm.hi[es, None]) + h * (1.0 - t)) ** -two_s
+        left[es == 0] = 0.0
+        right[es == last] = 0.0
+        weights = {m: table[es] for (q, m), table in sums.items() if q == p}
+        weights[n] = weights.get(n, 0.0) + w * h * (left + right) / two_s
+        for m, wm in weights.items():
+            sx = _gauss_shapes(p, m)
+            blocks += (sx * wm[:, None, :]) @ sx.T
+        for e, block in ends.items():
+            if dm.degrees[e] == p:
+                blocks[es == e] += block
+        g = dm.dofs(es)
+        _scatter(A, g, g, 2.0 * blocks)
 
 
 def _check_ascending(dm):
@@ -344,12 +344,9 @@ def assemble(dofmap, s, quad_offset=6):
     _check_ascending(dofmap)
     N = dofmap.n_dofs
     work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
-    _identical_blocks(work, dofmap, s, quad_offset)
     _adjacent_blocks(work, dofmap, s, quad_offset)
-    _disjoint_blocks(work, dofmap, s, quad_offset)
-    for e, block in _endpoint_blocks(dofmap, s, quad_offset):
-        g = dofmap.dofs([e])
-        _scatter(work, g, g, 2.0 * block[None])
+    sums = _disjoint_blocks(work, dofmap, s, quad_offset)
+    _element_blocks(work, dofmap, s, quad_offset, sums)
     A = _symmetric_from_upper(work, N, 0.5 * kernel_constant(s))
     if not np.all(np.isfinite(A)):
         raise RuntimeError("stiffness assembly produced non-finite entries")

@@ -44,7 +44,8 @@ _orders = _checked(_floats, lambda xs: all(0.0 < x < 1.0 for x in xs),
 _layers = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _nonneg = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _domain = _checked(_floats, lambda d: len(d) == 2 and d[0] < d[1]
-                   and all(map(math.isfinite, d)), "two finite values a < b")
+                   and math.isfinite(d[1] - d[0]),
+                   "two values a < b with b - a finite")
 
 
 def _parser():

@@ -46,7 +46,7 @@ def build_geometric_mesh(domain, sigma, layers):
 
     Parameters
     ----------
-    domain : pair of reals (a, b) with a < b
+    domain : pair of reals (a, b) with a < b and b - a finite
     sigma : grading factor, 0 < sigma < 1
     layers : number L >= 0 of refinement layers toward each endpoint
 
@@ -55,8 +55,9 @@ def build_geometric_mesh(domain, sigma, layers):
     (first at L = 22 for sigma = 0.17, L = 73 for sigma = 0.6, on (-1, 1)).
     """
     a, b = (float(domain[0]), float(domain[1]))
-    if not (np.isfinite(a) and np.isfinite(b)) or not a < b:
-        raise ValueError(f"domain must be a nondegenerate interval, got ({a}, {b})")
+    if not (a < b and np.isfinite(b - a)):  # also rejects an infinite a or b
+        raise ValueError("domain must be a nondegenerate interval of finite "
+                         f"length, got ({a}, {b})")
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"grading factor sigma must lie in (0, 1), got {sigma}")

@@ -10,7 +10,7 @@ import frachp.assembly as assembly_mod
 from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
                     build_geometric_mesh, cholesky_solve, complement_weight,
                     kernel_constant, solve_problem)
-from frachp.assembly import _complement_weights, _endpoint_blocks
+from frachp.assembly import _endpoint_blocks
 from frachp.basis import _shape_matrix
 from frachp.quadrature import _rule01
 from oracles import MixedDegrees, oracle_stiffness, reflection_permutation
@@ -343,11 +343,8 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
     blocks = []
     for offset in (6, 30):
         # the Jacobi block of the near endpoint plus the Gauss block of the
-        # far one, whose weights are the element's row of the table
-        n = 24 + offset
-        weights = _complement_weights(dm, s, offset)[24, n]
-        shapes = _shape_matrix(24, 2.0 * _rule01(n)[0] - 1.0)
-        blocks.append({e: block + (shapes * weights[e]) @ shapes.T
+        # far one
+        blocks.append({e: block + complement_block(dm, s, e, offset)
                        for e, block in _endpoint_blocks(dm, s, offset)})
     for e in ends:
         keep = dm.table[e, :dm.degrees[e] + 1] >= 0
@@ -355,6 +352,23 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
         ref = blocks[1][e][active]
         diff = blocks[0][e][active] - ref
         assert np.abs(diff).max() <= 1e-11 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("s", [0.02, 0.5, 0.98])
+@pytest.mark.parametrize("L", [6, 24])
+def test_endpoint_blocks_mirror_each_other(s, L):
+    # the two boundary elements of a uniform mesh on (-1, 1) are mirror
+    # images, so the right end's block is the left end's with its active
+    # rows and columns reversed; a rule of its own for the right end, with
+    # the weight (1 - t)^(2-2s), misses that by up to 6.8e-14 of the maximum
+    # (1 - t cancels at its nodes near 1)
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
+                       DegreeRule.uniform(L))
+    assert dm.h[0] == dm.h[-1]
+    (_, left), (_, right) = _endpoint_blocks(dm, s, 6)
+    mirrored = left[1:, 1:][::-1, ::-1]
+    assert np.abs(right[:-1, :-1] - mirrored).max() <= 2e-15 * np.abs(
+        mirrored).max()
 
 
 def test_assembly_peak_memory_one_mirror_temporary():

@@ -173,6 +173,7 @@ def test_zero_levels_rejected_except_for_mesh(capsys):
     ("mesh --sigma 1", "--sigma"),
     ("mesh --domain 1,0", "--domain"),
     ("mesh --domain 0,1,2", "--domain"),
+    ("mesh --domain=-1e308,1e308", "--domain"),
     ("convergence --levels 2.5", "--levels"),
     ("convergence --sigma 0", "--sigma"),
     ("convergence --s nan", "--s"),

@@ -80,6 +80,13 @@ def test_rejects_bad_arguments():
         build_geometric_mesh((-1, 1), 0.5, -1)
 
 
+def test_rejects_domain_whose_length_overflows():
+    # both endpoints are finite, but b - a is inf
+    with pytest.raises(ValueError, match=r"finite length, got \(-1e\+308, "):
+        build_geometric_mesh((-1e308, 1e308), 0.6, 2)
+    build_geometric_mesh((-5e307, 5e307), 0.6, 2)
+
+
 @pytest.mark.parametrize("sigma,first_bad", [(0.17, 22), (0.6, 73)])
 def test_degenerate_mesh_raises_naming_sigma_and_L(sigma, first_bad):
     # half * sigma^L falls below the spacing of doubles next to -1 and 1
