@@ -170,7 +170,7 @@ def build_hp_interpolant(u, dofmap):
     mesh = dofmap.mesh
     probe = [mesh.a, 0.5 * (mesh.a + mesh.b), mesh.b]
     coeffs = np.zeros(dofmap.n_dofs)
-    for p in np.unique(dofmap.degrees).tolist():
+    for p in sorted(set(dofmap.degrees.tolist())):
         es = np.flatnonzero(dofmap.degrees == p)
         x = dofmap.lo[es, None] + 0.5 * dofmap.h[es, None] * (
             gauss_lobatto_nodes(p) + 1.0)
@@ -330,7 +330,7 @@ def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
     for e in (0, last):
         terms[e] = _boundary_error_sq(u, du, dofmap, coeffs, e, beta_p)
     inner = dofmap.degrees[1:last]
-    for p in np.unique(inner).tolist():
+    for p in sorted(set(inner.tolist())):
         es = 1 + np.flatnonzero(inner == p)
         terms[es] = _interior_error_sq(u, du, dofmap, coeffs, es, beta_p)
     total = 0.0

@@ -40,11 +40,15 @@ r^(2-2s) for both ends.
 Blocks are added with np.add.at on flat indices into an (N+1) x (N+1) work
 array, whose spare row and column N take the constrained endpoint dofs.
 The dofs are numbered left to right, so every disjoint cross block lies in
-the upper triangle and is scattered once, unmirrored; the adjacent blocks,
-once per degree pair, and the elements' own blocks, once per degree, are
-scattered whole.  The upper triangle is then scaled by C(s)/2 into the
-contiguous N x N result and mirrored there in place, tile by tile, with no
-N x N temporary.  The load is batched per degree on the same Gauss-Legendre
+the upper triangle and is scattered once, unmirrored; of the symmetric
+adjacent blocks, once per degree pair, and the elements' own blocks, once
+per degree, only the local upper triangle is scattered, which lands in the
+upper triangle too.  The upper triangle is then scaled by C(s)/2 and
+mirrored inside the work array, tile by tile, its rows moved forward to
+stride N, so that the first N^2 entries are the contiguous result: the
+assembly allocates no second N x N array.  The Gauss-Jacobi rules are
+computed once per assemble call and shared by the identical, adjacent and
+endpoint blocks.  The load is batched per degree on the same Gauss-Legendre
 shape tables, with points in per-element reference coordinates.
 
 assemble(dofmap, s, quad_offset=6) and assemble_load(f, dofmap,
@@ -134,17 +138,35 @@ def _gauss_shapes(p, n):
 _CHUNK = 1 << 14
 
 
-def _scatter(A, rows, cols, blocks):
-    """A[rows[b, k], cols[b, l]] += blocks[b, k, l] on the (N+1) x (N+1)
-    work array A.
+def _scatter(A, flat, values):
+    """A.flat[flat] += values, entry by entry, on the (N+1) x (N+1) work
+    array A, with the flat indices r (N+1) + c of rows r and columns c.
 
     A constrained dof (-1) lands in the spare row or column N by index
     arithmetic alone: the flat index r (N+1) - 1 is column N of row r - 1,
     and a negative flat index wraps round to row N.  np.add.at keeps its
     fast path only on 1-D indices and values, into the contiguous A.
     """
-    flat = rows[:, :, None] * A.shape[1] + cols[:, None, :]
-    np.add.at(A.reshape(-1), flat.ravel(), blocks.ravel())
+    np.add.at(A.reshape(-1), flat.ravel(), values.ravel())
+
+
+def _upper(blocks):
+    """The local upper triangles k <= l of the square blocks[b], in
+    np.triu_indices order."""
+    k, l = np.triu_indices(blocks.shape[-1])
+    return blocks[:, k, l]
+
+
+def _scatter_upper(A, g, upper):
+    """Scatter upper = _upper(blocks) of symmetric blocks, entry (k, l) of
+    block b at (g[b, k], g[b, l]).  The dofs of each row of g ascend, so
+    every entry lands on or above the diagonal of A (or in its spare row
+    and column); the strict lower triangle, which the mirror overwrites,
+    gets none."""
+    k, l = np.triu_indices(g.shape[1])
+    flat = (g * A.shape[1])[:, k]
+    flat += g[:, l]
+    _scatter(A, flat, upper)
 
 
 def _adjacent_table(scheme, pi, pj):
@@ -168,30 +190,29 @@ def _adjacent_table(scheme, pi, pj):
     return (rows @ rows.swapaxes(-1, -2)).reshape(2 * n, m * m)
 
 
-def _adjacent_blocks(A, dm, s, quad_offset):
+def _adjacent_blocks(A, dm, s, quad_offset, jacobi):
     """T_e x T_e+1, twice (for the mirrored pair), per degree pair.
 
     The weight of a point factors into a radial part wq / xi^2, held in the
     table, and a per-pair part h_x h_z wu ell^(-1-2s) in the angular
     variable, so each block is one row of weights times the table.  The
-    scheme depends on the point count alone, so degree pairs with the same
-    count share it.
+    scheme depends on the point count alone; jacobi keeps its radial rule
+    for the assemble call.
     """
     left, right = dm.degrees[:-1], dm.degrees[1:]
-    schemes = {}
     for pi, pj in sorted(set(zip(left.tolist(), right.tolist()))):
         es = np.flatnonzero((left == pi) & (right == pj))
         n = max(pi, pj) + quad_offset
-        if n not in schemes:
-            schemes[n] = _adjacent_scheme(s, n)
         tu, wu = _rule01(n)
         hx, hz = dm.h[es, None], dm.h[es + 1, None]
         weights = 2.0 * hx[:, None] * hz[:, None] * wu * _adjacent_lengths(
             tu, hx, hz) ** (-1.0 - 2.0 * s)
-        blocks = weights.reshape(len(es), 2 * n) @ _adjacent_table(
-            schemes[n], pi, pj)  # the table is freed before the scatter
+        # the table and the whole blocks are freed before the scatter
+        upper = _upper((weights.reshape(len(es), 2 * n) @ _adjacent_table(
+            _adjacent_scheme(s, n, jacobi), pi, pj)).reshape(
+                len(es), pi + pj + 1, -1))
         g = np.concatenate((dm.dofs(es)[:, :pi], dm.dofs(es + 1)), axis=1)
-        _scatter(A, g, g, blocks.reshape(len(es), pi + pj + 1, -1))
+        _scatter_upper(A, g, upper)
 
 
 def _disjoint_blocks(A, dm, s, quad_offset):
@@ -231,23 +252,25 @@ def _disjoint_blocks(A, dm, s, quad_offset):
             np.add.at(wz, jz, hw * (wt @ K))
             cross = (sxw @ K) @ szw.T
             cross *= -2.0 * hh[:, None, None]
-            _scatter(A, dm.dofs(ix), dm.dofs(jz), cross)
+            flat = dm.dofs(ix)[:, :, None] * A.shape[1]
+            _scatter(A, flat + dm.dofs(jz)[:, None, :], cross)
     return sums
 
 
-def _endpoint_blocks(dm, s, quad_offset):
+def _endpoint_blocks(dm, s, quad_offset, jacobi=_jacobi01):
     """int_T phi_k phi_l (dist to the near endpoint)^(-2s) / (2s) on the two
     boundary elements, as (element, block) pairs.
 
     The first-order zero of the active shapes is factored out and r^(2-2s),
     r being the distance to the near endpoint over h, is absorbed into one
-    Gauss-Jacobi rule for both ends; the right end evaluates its shapes at
-    the mirrored points, so its block is the left one's mirror image.
+    Gauss-Jacobi rule for both ends, from jacobi(n, exp0, exp1); the right
+    end evaluates its shapes at the mirrored points, so its block is the
+    left one's mirror image.
     """
     two_s = 2.0 * s
     for e in (0, len(dm.h) - 1):
         p = int(dm.degrees[e])
-        r, wj = _jacobi01(p + quad_offset, 2.0 - two_s, 0.0)
+        r, wj = jacobi(p + quad_offset, 2.0 - two_s, 0.0)
         x = 2.0 * r - 1.0
         ratios = _shape_matrix(p, x if e == 0 else -x)
         ratios /= r
@@ -255,7 +278,7 @@ def _endpoint_blocks(dm, s, quad_offset):
         yield e, (ratios * weights) @ ratios.T
 
 
-def _element_blocks(A, dm, s, quad_offset, sums):
+def _element_blocks(A, dm, s, quad_offset, sums, jacobi):
     """Each element's own block, twice, scattered once per degree: the
     identical pair T x T, S_n diag(weights) S_n^T for each point count n,
     and the near-endpoint block on the two boundary elements.
@@ -273,11 +296,11 @@ def _element_blocks(A, dm, s, quad_offset, sums):
     a, b = dm.lo[0], dm.hi[-1]
     two_s = 2.0 * s
     last = len(dm.h) - 1
-    ends = dict(_endpoint_blocks(dm, s, quad_offset))
-    for p in np.unique(dm.degrees).tolist():
+    ends = dict(_endpoint_blocks(dm, s, quad_offset, jacobi))
+    for p in sorted(set(dm.degrees.tolist())):
         es = np.flatnonzero(dm.degrees == p)
         h, n = dm.h[es, None], p + quad_offset
-        tx, tz, w = _identical_scheme(s, n)
+        tx, tz, w = _identical_scheme(s, n, jacobi)
         rows = _shape_matrix(p, 2.0 * tx - 1.0)
         rows -= _shape_matrix(p, 2.0 * tz - 1.0)
         rows /= tx - tz
@@ -295,13 +318,13 @@ def _element_blocks(A, dm, s, quad_offset, sums):
         for e, block in ends.items():
             if dm.degrees[e] == p:
                 blocks[es == e] += block
-        g = dm.dofs(es)
-        _scatter(A, g, g, 2.0 * blocks)
+        _scatter_upper(A, dm.dofs(es), _upper(2.0 * blocks))
 
 
 def _check_ascending(dm):
     """The active dofs, read element by element, must not descend: only
-    then does every disjoint cross block lie in the upper triangle."""
+    then do the disjoint cross blocks and the local upper triangles of the
+    other blocks lie in the upper triangle."""
     g = dm.table[dm.table >= 0]  # row by row
     if (np.diff(g) < 0).any():
         raise ValueError("the dof table must number the dofs left to right, "
@@ -314,19 +337,31 @@ _TILE = 64
 _STRICT_LOWER = np.tri(_TILE, _TILE, -1, dtype=bool)
 
 
-def _symmetric_from_upper(work, n, scale):
+def _symmetric_in_place(work, scale):
     """The exactly symmetric n x n matrix whose upper triangle is scale
-    times that of work[:n, :n], built one tile row at a time: each row of
-    tiles is scaled into a new contiguous array and mirrored there in
-    place, with no n x n temporary.  (Returning the strided view work[:n, :n]
-    instead raised the peak RSS of an L = 24 solve by 0.5 MB.)"""
-    A = np.empty((n, n))
+    times that of the (n+1) x (n+1) work array, built in work's own memory
+    as the C-contiguous view of its first n^2 entries.
+
+    One tile row at a time, in order: the upper part of the rows is scaled
+    to its place at row stride n, the diagonal tile is mirrored, and the
+    lower part is copied from the columns of the rows above, which are
+    final by then.  Row r moves r entries towards the start, so a tile
+    overwrites only rows above it and its own source rows, which numpy
+    buffers before it writes over them; the rows below are still intact.
+    Raises RuntimeError on a non-finite entry.
+    """
+    n = work.shape[0] - 1
+    A = work.reshape(-1)[:n * n].reshape(n, n)
     for r0 in range(0, n, _TILE):
         r1 = min(r0 + _TILE, n)
-        np.multiply(work[r0:r1, r0:n], scale, out=A[r0:r1, r0:])
+        upper = A[r0:r1, r0:]
+        np.multiply(work[r0:r1, r0:n], scale, out=upper)
+        if not np.isfinite(upper).all():
+            raise RuntimeError("stiffness assembly produced non-finite "
+                               "entries")
         diag = A[r0:r1, r0:r1]
         np.copyto(diag, diag.T, where=_STRICT_LOWER[:r1 - r0, :r1 - r0])
-        A[r1:, r0:r1] = A[r0:r1, r1:].T
+        A[r0:r1, :r0] = A[:r0, r0:r1].T
     return A
 
 
@@ -344,12 +379,11 @@ def assemble(dofmap, s, quad_offset=6):
     _check_ascending(dofmap)
     N = dofmap.n_dofs
     work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
-    _adjacent_blocks(work, dofmap, s, quad_offset)
+    jacobi = lru_cache(maxsize=None)(_jacobi01)  # for this call's s only
+    _adjacent_blocks(work, dofmap, s, quad_offset, jacobi)
     sums = _disjoint_blocks(work, dofmap, s, quad_offset)
-    _element_blocks(work, dofmap, s, quad_offset, sums)
-    A = _symmetric_from_upper(work, N, 0.5 * kernel_constant(s))
-    if not np.all(np.isfinite(A)):
-        raise RuntimeError("stiffness assembly produced non-finite entries")
+    _element_blocks(work, dofmap, s, quad_offset, sums, jacobi)
+    A = _symmetric_in_place(work, 0.5 * kernel_constant(s))
     return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)
 
 
@@ -360,7 +394,7 @@ def assemble_load(f, dofmap, quad_offset=6):
     """
     quad_offset = _check_offset(quad_offset)
     b = np.zeros(dofmap.n_dofs)
-    for p in np.unique(dofmap.degrees).tolist():
+    for p in sorted(set(dofmap.degrees.tolist())):
         es = np.flatnonzero(dofmap.degrees == p)
         n = p + quad_offset
         t, w = _rule01(n)

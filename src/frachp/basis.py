@@ -176,7 +176,7 @@ class DofMap:
         p = self.degrees[es]
         if (p != p[0]).any():
             raise ValueError("dofs needs elements of one degree, got degrees "
-                             f"{np.unique(p).tolist()}")
+                             f"{sorted(set(p.tolist()))}")
         return self.table[es, :p[0] + 1]
 
 
@@ -226,7 +226,7 @@ def _eval(dofmap, coeffs, x, derivative):
     xs = np.asarray(x, dtype=float)
     es = element_of(dofmap.mesh, xs) - 1
     out = np.empty_like(xs)
-    for e in np.unique(es).tolist():
+    for e in sorted(set(np.ravel(es).tolist())):
         at = es == e
         out[at] = _element_eval(dofmap, coeffs, e, xs[at], derivative)
     return out[()]

@@ -1,4 +1,10 @@
-"""Direct solution of the SPD Galerkin system by dense Cholesky."""
+"""Direct solution of the SPD Galerkin system by dense Cholesky.
+
+The factor is computed left-looking in blocks of _BLOCK columns, from the
+lower triangle of A alone, and kept as its block columns L[j:, j:j+_BLOCK]:
+about N^2 / 2 entries, so a solve holds A and half as much again.  The
+blocked forward and back substitutions walk the same block columns.
+"""
 
 from __future__ import annotations
 
@@ -32,45 +38,51 @@ class Solution:
 
 
 def _cho_factor(A):
-    """Lower Cholesky factor L of A (only its lower triangle is read), with
-    the inverses of its diagonal blocks.
+    """Lower Cholesky factor L of A, read from A's lower triangle only, as
+    its block columns L[j:, j:k], with the inverses of their diagonal
+    blocks.
 
-    Left-looking in column blocks: each block column takes the update of
-    the columns before it, its diagonal block is factored, and the panel
-    below is multiplied by the inverse of that block.  The copy of A is the
-    one N x N array; its upper triangle is cleared block by block.
+    Left-looking: each block column of A is copied, takes the update of the
+    block columns before it, its diagonal block is factored, and the panel
+    below is multiplied by the inverse of that block.  The block columns
+    hold the lower triangle alone, about half of an N x N array.
     """
-    L = np.array(A, dtype=float)
-    n = L.shape[0]
-    inverses = []
+    n = A.shape[0]
+    panels, inverses = [], []
     for j in range(0, n, _BLOCK):
         k = min(j + _BLOCK, n)
-        if j:
-            L[j:, j:k] -= L[j:, :j] @ L[j:k, :j].T
+        P = np.array(A[j:, j:k], dtype=float)
+        for Q in panels:  # Q = L[i:, i:i + _BLOCK]
+            i = n - len(Q)
+            P -= Q[j - i:] @ Q[j - i:k - i].T
         try:
-            diag = np.linalg.cholesky(L[j:k, j:k])
+            diag = np.linalg.cholesky(P[:k - j])
         except np.linalg.LinAlgError:
             raise NotSPDError(
                 "matrix is not positive definite: the Cholesky factor fails "
                 f"in the diagonal block of rows {j}..{k - 1}") from None
-        L[j:k, j:] = 0.0
-        L[j:k, j:k] = diag
+        P[:k - j] = diag
         inverses.append(np.linalg.inv(diag))
-        L[k:, j:k] = L[k:, j:k] @ inverses[-1].T
-    return L, inverses
+        P[k - j:] = P[k - j:] @ inverses[-1].T
+        panels.append(P)
+    return panels, inverses
 
 
 def _cho_solve(factor, b):
-    """Solve L L^T c = b by blocked forward and back substitution."""
-    L, inverses = factor
+    """Solve L L^T c = b by blocked forward and back substitution, one
+    block column of L at a time."""
+    panels, inverses = factor
     c = np.array(b, dtype=float)
-    starts = range(0, L.shape[0], _BLOCK)
-    for j, inv in zip(starts, inverses):
-        k = j + inv.shape[0]
-        c[j:k] = inv @ (c[j:k] - L[j:k, :j] @ c[:j])
-    for j, inv in zip(reversed(starts), reversed(inverses)):
-        k = j + inv.shape[0]
-        c[j:k] = inv.T @ (c[j:k] - L[k:, j:k].T @ c[k:])
+    n = len(c)
+    for P, inv in zip(panels, inverses):
+        j = n - len(P)
+        k = j + len(inv)
+        c[j:k] = inv @ c[j:k]
+        c[k:] -= P[k - j:] @ c[j:k]
+    for P, inv in zip(reversed(panels), reversed(inverses)):
+        j = n - len(P)
+        k = j + len(inv)
+        c[j:k] = inv.T @ (c[j:k] - P[k - j:].T @ c[k:])
     return c
 
 

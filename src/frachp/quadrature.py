@@ -161,22 +161,24 @@ def _check_s(s):
         raise ValueError(f"fractional order s must lie in (0, 1), got {s}")
 
 
-def _identical_scheme(s, n):
+def _identical_scheme(s, n, jacobi=_jacobi01):
     """Identical pair T x T on the reference element T = (0, 1).
 
     Returns (tx, tz, w) on the triangle z < x: a Gauss-Jacobi rule in the
     diagonal distance tx - tz tensored with Gauss-Legendre along the
     element, with |tx - tz|^(1-2s) absorbed into w.  The triangle z > x is
     its mirror (tz, tx, w).  On an element of length h the points scale by
-    h and the weights by h^(3-2s).
+    h and the weights by h^(3-2s).  jacobi(n, exp0, exp1) gives the
+    Gauss-Jacobi rule; the assembly passes one that keeps its rules for the
+    call.
     """
-    tj, wj = _jacobi01(n, 1.0 - 2.0 * s, 1.0)
+    tj, wj = jacobi(n, 1.0 - 2.0 * s, 1.0)
     tu, wu = _rule01(n)
     span = ((1.0 - tj)[:, None] * tu[None, :]).ravel()
     return tj.repeat(n) + span, span, np.outer(wj, wu).ravel()
 
 
-def _adjacent_scheme(s, n):
+def _adjacent_scheme(s, n, jacobi=_jacobi01):
     """Duffy scheme for two elements that share a vertex.
 
     Points are distances from the shared vertex normalised per element,
@@ -188,9 +190,10 @@ def _adjacent_scheme(s, n):
     |x - z| = xi * ell with ell = _adjacent_lengths(tu, h_x, h_z) on the
     angular rule (tu, wu) = _rule01(n), and the weight with |x - z|^(1-2s)
     absorbed is h_x h_z wq wu ell^(1-2s), the Jacobi weight in xi carrying
-    xi^(1-2s) and the Duffy Jacobian xi.
+    xi^(1-2s) and the Duffy Jacobian xi.  jacobi is as for
+    _identical_scheme.
     """
-    xi, wq = _jacobi01(n, 2.0 - 2.0 * s, 0.0)
+    xi, wq = jacobi(n, 2.0 - 2.0 * s, 0.0)
     tu, wu = _rule01(n)
     radial = np.broadcast_to(xi[:, None], (n, n))
     angular = xi[:, None] * tu[None, :]

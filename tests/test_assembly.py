@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import frachp.assembly as assembly_mod
+import frachp.quadrature as quadrature_mod
 from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
                     build_geometric_mesh, cholesky_solve, complement_weight,
                     kernel_constant, solve_problem)
@@ -372,8 +373,8 @@ def test_endpoint_blocks_mirror_each_other(s, L):
 
 
 def test_assembly_peak_memory_one_mirror_temporary():
-    # the (N+1) x (N+1) work array, the N x N result and small batches:
-    # the disjoint chunks must stay small on the largest mesh too
+    # the (N+1) x (N+1) work array and small batches: the disjoint chunks
+    # must stay small on the largest mesh too
     for L in (14, 24):
         mesh = build_geometric_mesh((-1, 1), 0.6, L)
         dm = build_dof_map(mesh, DegreeRule.uniform(L))
@@ -385,6 +386,78 @@ def test_assembly_peak_memory_one_mirror_temporary():
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * dm.n_dofs ** 2, L
+
+
+def test_assembly_holds_one_matrix():
+    # the work array becomes the result in place, so apart from it only
+    # small batches and one tile row of the mirror are live
+    mesh = build_geometric_mesh((-1, 1), 0.6, 24)
+    dm = build_dof_map(mesh, DegreeRule.uniform(24))
+    assemble(dm, 0.5)  # warm the shape-table caches
+    tracemalloc.start()
+    try:
+        assemble(dm, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 8 * dm.n_dofs ** 2
+
+
+@pytest.mark.parametrize("kind, L", [("uniform", 14), ("reduced", 10),
+                                     ("mixed", 6), ("uniform", 0)])
+def test_stiffness_is_contiguous_view_of_work_array(kind, L):
+    # N = 449, 221, 32 and 1: several tile rows of 64 with a partial last
+    # one, and a single partial tile
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
+                       make_rule(kind, L + 1))
+    A = assemble(dm, 0.3).stiffness
+    N = dm.n_dofs
+    assert A.shape == (N, N) and A.flags.c_contiguous
+    np.testing.assert_array_equal(A, A.T)
+    assert A.base is not None and A.base.shape == (N + 1, N + 1)
+
+
+def test_scatter_puts_nothing_below_the_diagonal(monkeypatch):
+    # the mirror overwrites the strict lower triangle, so no block may send
+    # an entry there; the spare row and column N take constrained dofs
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, 6),
+                       DegreeRule.uniform(6))
+    N = dm.n_dofs
+    scatter = assembly_mod._scatter
+    entries, below = [], []
+
+    def counting(A, *args):
+        hits = np.zeros_like(A)
+        scatter(hits, *args[:-1], np.ones_like(args[-1]))
+        entries.append(hits.sum())
+        below.append(np.tril(hits[:N, :N], -1).sum())
+        scatter(A, *args)
+
+    monkeypatch.setattr(assembly_mod, "_scatter", counting)
+    assemble(dm, 0.5)
+    assert sum(entries) > 0
+    assert sum(below) == 0
+
+
+@pytest.mark.parametrize("kind, rules", [("uniform", 2), ("reduced", 4)])
+def test_each_jacobi_rule_computed_once_per_assemble(monkeypatch, kind,
+                                                     rules):
+    # the identical, adjacent and endpoint blocks share their rules within
+    # a call; a second call computes them again, as s may have moved
+    golub_welsch = quadrature_mod._golub_welsch
+    calls = []
+
+    def counting(n, exp0, exp1):
+        calls.append((n, exp0, exp1))
+        return golub_welsch(n, exp0, exp1)
+
+    monkeypatch.setattr(quadrature_mod, "_golub_welsch", counting)
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, 6),
+                       make_rule(kind, 6))
+    assemble(dm, 0.3)
+    assert len(calls) == len(set(calls)) == rules
+    assemble(dm, 0.3)
+    assert len(calls) == 2 * rules
 
 
 def test_galerkin_system_is_frozen():

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import linalg
 
+import frachp.linsolve as linsolve_mod
 from frachp import (DegreeRule, GalerkinSystem, NotSPDError, assemble,
                     assemble_load, build_dof_map, build_geometric_mesh,
                     cholesky_solve, eval_fem_function, exact_energy,
@@ -67,6 +69,52 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_solve_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma (tens of ms) on its first call
+    code = ("import sys\n"
+            "from frachp import DegreeRule, solve_problem\n"
+            "solve_problem(0.5, 0.6, 2, DegreeRule.reduced(2))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 150])
+def test_block_factor_matches_dense_solve(n):
+    # sizes on either side of the 64-column block edges
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + n * np.eye(n)
+    b = rng.standard_normal(n)
+    c = cholesky_solve(make_system(A, b)).coeffs
+    ref = np.linalg.solve(A, b)
+    assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
+    # only the lower triangle of A is read
+    junk = np.tril(A) + np.triu(rng.standard_normal((n, n)), 1)
+    cho = linsolve_mod.linalg
+    np.testing.assert_array_equal(cho.cho_solve(cho.cho_factor(junk), b), c)
+
+
+def test_solve_holds_half_a_factor():
+    # the factor keeps only its lower block columns, about N^2 / 2 entries
+    mesh = build_geometric_mesh((-1, 1), 0.6, 24)
+    dm = build_dof_map(mesh, DegreeRule.uniform(24))
+    system = replace(assemble(dm, 0.5),
+                     load=assemble_load(lambda x: np.ones_like(x), dm))
+    cholesky_solve(system)
+    tracemalloc.start()
+    try:
+        cholesky_solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7 * 8 * dm.n_dofs ** 2
 
 
 def test_rejects_inconsistent_shapes():
