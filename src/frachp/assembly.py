@@ -14,7 +14,9 @@ needed.  The double integral runs over element pairs i <= j (twice for
 i < j) with the schemes of the quadrature module, batched per pair class:
 
 * identical pairs T x T: h^(1-2s) times one reference block per degree,
-  whose rows are divided differences on the reference element; these are
+  whose rows are divided differences on the reference element, each taken
+  exactly as the mean of the shapes' derivative along its segment, so no
+  difference of nearby values is divided by their distance; these are
   symmetric in x and z, so the block is twice that of the triangle z < x;
 * adjacent pairs T_e x T_e+1: the points are distances from the shared
   vertex normalised per element, so one shape table serves each degree
@@ -51,6 +53,16 @@ computed once per assemble call and shared by the identical, adjacent and
 endpoint blocks.  The load is batched per degree on the same Gauss-Legendre
 shape tables, with points in per-element reference coordinates.
 
+A dof map that is its own mirror image under x -> a + b - x, bit for bit
+(palindromic degrees, mirrored nodes; every uniform and reduced map on
+(-1, 1)), maps dof g to N-1-g, so A equals A[::-1, ::-1].  Then only the
+blocks that reach an entry r + c <= N - 1 are built, those whose first
+row and column dofs sum to at most N - 1: about half the element pairs.  A
+disjoint pair whose mirror pair is skipped adds its self weights, reversed,
+to the mirror elements, and the upper entries r + c > N - 1 are copied
+from (N-1-c, N-1-r) when the work array is mirrored, so A comes out
+exactly persymmetric.  Any other map builds every block.
+
 assemble(dofmap, s, quad_offset=6) and assemble_load(f, dofmap,
 quad_offset=6) read the element bounds, lengths, degrees and dof rows from
 the element table of the dof map, which also carries the mesh.
@@ -65,7 +77,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _shape_matrix
+from .basis import _diff_matrix, _shape_matrix, _shape_matrix01
 from .quadrature import (_adjacent_lengths, _adjacent_scheme, _check_s,
                          _disjoint_n, _identical_scheme, _jacobi01, _rule01)
 
@@ -150,10 +162,19 @@ def _scatter(A, flat, values):
     np.add.at(A.reshape(-1), flat.ravel(), values.ravel())
 
 
+@lru_cache(maxsize=None)
+def _triu(n, k=0):
+    """np.triu_indices(n, k) as read-only arrays, kept across calls."""
+    rows, cols = np.triu_indices(n, k)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def _upper(blocks):
     """The local upper triangles k <= l of the square blocks[b], in
     np.triu_indices order."""
-    k, l = np.triu_indices(blocks.shape[-1])
+    k, l = _triu(blocks.shape[-1])
     return blocks[:, k, l]
 
 
@@ -163,7 +184,7 @@ def _scatter_upper(A, g, upper):
     every entry lands on or above the diagonal of A (or in its spare row
     and column); the strict lower triangle, which the mirror overwrites,
     gets none."""
-    k, l = np.triu_indices(g.shape[1])
+    k, l = _triu(g.shape[1])
     flat = (g * A.shape[1])[:, k]
     flat += g[:, l]
     _scatter(A, flat, upper)
@@ -190,8 +211,9 @@ def _adjacent_table(scheme, pi, pj):
     return (rows @ rows.swapaxes(-1, -2)).reshape(2 * n, m * m)
 
 
-def _adjacent_blocks(A, dm, s, quad_offset, jacobi):
-    """T_e x T_e+1, twice (for the mirrored pair), per degree pair.
+def _adjacent_blocks(A, dm, s, quad_offset, jacobi, limit):
+    """T_e x T_e+1, twice (for the mirrored pair), per degree pair, for
+    the pairs whose first dof, twice, is at most limit.
 
     The weight of a point factors into a radial part wq / xi^2, held in the
     table, and a per-pair part h_x h_z wu ell^(-1-2s) in the angular
@@ -199,9 +221,10 @@ def _adjacent_blocks(A, dm, s, quad_offset, jacobi):
     scheme depends on the point count alone; jacobi keeps its radial rule
     for the assemble call.
     """
-    left, right = dm.degrees[:-1], dm.degrees[1:]
+    kept = np.flatnonzero(2 * dm.table[:-1, 0] <= limit)
+    left, right = dm.degrees[kept], dm.degrees[kept + 1]
     for pi, pj in sorted(set(zip(left.tolist(), right.tolist()))):
-        es = np.flatnonzero((left == pi) & (right == pj))
+        es = kept[(left == pi) & (right == pj)]
         n = max(pi, pj) + quad_offset
         tu, wu = _rule01(n)
         hx, hz = dm.h[es, None], dm.h[es + 1, None]
@@ -215,9 +238,10 @@ def _adjacent_blocks(A, dm, s, quad_offset, jacobi):
         _scatter_upper(A, g, upper)
 
 
-def _disjoint_blocks(A, dm, s, quad_offset):
+def _disjoint_blocks(A, dm, s, quad_offset, limit):
     """T_i x T_j for j >= i + 2, twice, batched over the whole mesh per
-    degree pair and point count, in chunks of _CHUNK kernel entries.
+    degree pair and point count, in chunks of _CHUNK kernel entries, for
+    the pairs whose first dofs sum to at most limit.
 
     On a tensor Gauss rule with K_ab = |x_a - z_b|^(-1-2s) the block factors
     into h_i h_j times S_x diag(w K w) S_x^T, -(S_x w) K (S_z w)^T (and its
@@ -225,10 +249,16 @@ def _disjoint_blocks(A, dm, s, quad_offset):
     upper triangle and are scattered once per chunk; the self terms are
     summed per element and returned as the weights w K w and w K^T w, a
     {(p, n): (elements, n)} table, zero on the elements of other degrees,
-    for _element_blocks.
+    for _element_blocks.  On a mirror image (see assemble) a pair whose
+    mirror pair (ne-1-j, ne-1-i) is skipped also adds its self weights,
+    reversed, to the mirror elements ne-1-i and ne-1-j, which are theirs.
     """
     ne = len(dm.h)
-    i, j = np.triu_indices(ne, 2)
+    first = dm.table[:, 0]
+    i, j = _triu(ne, 2)
+    kept = first[i] + first[j] <= limit
+    i, j = i[kept], j[kept]
+    flip = first[ne - 1 - j] + first[ne - 1 - i] > limit
     pi, pj = dm.degrees[i], dm.degrees[j]
     n = _disjoint_n(np.maximum(pi, pj) + quad_offset, dm.h[i], dm.h[j],
                     dm.lo[j] - dm.hi[i])
@@ -241,15 +271,19 @@ def _disjoint_blocks(A, dm, s, quad_offset):
         wz = sums.setdefault((q, nq), np.zeros((ne, nq)))
         step = max(1, _CHUNK // nq ** 2)
         for c in range(0, len(pairs), step):
-            ix, jz = i[pairs[c:c + step]], j[pairs[c:c + step]]
+            batch = pairs[c:c + step]
+            ix, jz, f = i[batch], j[batch], flip[batch]
             hh = dm.h[ix] * dm.h[jz]
             x = dm.lo[ix, None] + dm.h[ix, None] * t
             z = dm.lo[jz, None] + dm.h[jz, None] * t
             K = z[:, None, :] - x[:, :, None]
             np.power(K, -1.0 - 2.0 * s, out=K)
             hw = hh[:, None] * wt
-            np.add.at(wx, ix, hw * (K @ wt))
-            np.add.at(wz, jz, hw * (wt @ K))
+            sx, sz = hw * (K @ wt), hw * (wt @ K)
+            np.add.at(wx, np.concatenate((ix, ne - 1 - ix[f])),
+                      np.concatenate((sx, sx[f, ::-1])))
+            np.add.at(wz, np.concatenate((jz, ne - 1 - jz[f])),
+                      np.concatenate((sz, sz[f, ::-1])))
             cross = (sxw @ K) @ szw.T
             cross *= -2.0 * hh[:, None, None]
             flat = dm.dofs(ix)[:, :, None] * A.shape[1]
@@ -278,14 +312,41 @@ def _endpoint_blocks(dm, s, quad_offset, jacobi=_jacobi01):
         yield e, (ratios * weights) @ ratios.T
 
 
-def _element_blocks(A, dm, s, quad_offset, sums, jacobi):
-    """Each element's own block, twice, scattered once per degree: the
-    identical pair T x T, S_n diag(weights) S_n^T for each point count n,
-    and the near-endpoint block on the two boundary elements.
+# shape values per batch of _divided_differences: the whole segment rule in
+# one batch up to p = 14 (n = 20) at quad_offset 6, five of its twelve
+# points per batch at p = 24 (1 MB); one point per batch took 1.7 (p = 4)
+# to 2.5 times (p = 14, 24) as long
+_SEGMENT_BATCH = 1 << 17
+
+
+def _divided_differences(p, tx, tz):
+    """Rows (S(tx) - S(tz)) / (tx - tz) of the degree-p shapes S on the
+    reference element (0, 1), taken exactly as the mean of S' over
+    [tz, tx]: S' has degree p - 1, so the ceil(p/2)-point Gauss-Legendre
+    rule on the segment integrates it exactly, and no difference of nearby
+    values is divided by their distance.  The shape values are summed over
+    the rule's points, in batches of _SEGMENT_BATCH values, then
+    differentiated once."""
+    theta, weights = _rule01((p + 1) // 2)
+    span = tx - tz
+    step = max(1, _SEGMENT_BATCH // ((p + 1) * len(tx)))
+    mean = np.zeros((p + 1, len(tx)))
+    for c in range(0, len(theta), step):
+        points = tz + theta[c:c + step, None] * span
+        values = _shape_matrix01(p, points.ravel())
+        mean += weights[c:c + step] @ values.reshape(p + 1, len(points), -1)
+    return 2.0 * (_diff_matrix(p).T @ mean)
+
+
+def _element_blocks(A, dm, s, quad_offset, sums, jacobi, limit):
+    """Each element's own block, twice, scattered once per degree, for the
+    elements whose first dof, twice, is at most limit: the identical pair
+    T x T, S_n diag(weights) S_n^T for each point count n, and the
+    near-endpoint block on the two boundary elements.
 
     The identical pair is h^(1-2s) times one reference block per degree,
-    whose rows are the divided differences on the reference element; they
-    are symmetric in x and z, so the factor 2 also counts the triangle
+    whose rows are the exact divided differences on the reference element;
+    they are symmetric in x and z, so the factor 2 also counts the triangle
     z > x.  The weights are kappa h w at n = p + quad_offset, with the
     distances to the endpoints in reference coordinates, (lo - a) + h t and
     (b - hi) + h (1 - t), so they keep their relative accuracy on the small
@@ -297,13 +358,12 @@ def _element_blocks(A, dm, s, quad_offset, sums, jacobi):
     two_s = 2.0 * s
     last = len(dm.h) - 1
     ends = dict(_endpoint_blocks(dm, s, quad_offset, jacobi))
-    for p in sorted(set(dm.degrees.tolist())):
-        es = np.flatnonzero(dm.degrees == p)
+    kept = np.flatnonzero(2 * dm.table[:, 0] <= limit)
+    for p in sorted(set(dm.degrees[kept].tolist())):
+        es = kept[dm.degrees[kept] == p]
         h, n = dm.h[es, None], p + quad_offset
         tx, tz, w = _identical_scheme(s, n, jacobi)
-        rows = _shape_matrix(p, 2.0 * tx - 1.0)
-        rows -= _shape_matrix(p, 2.0 * tz - 1.0)
-        rows /= tx - tz
+        rows = _divided_differences(p, tx, tz)
         blocks = h[:, :, None] ** (1.0 - two_s) * ((rows * w) @ rows.T)
         t, w = _rule01(n)
         left = ((dm.lo[es, None] - a) + h * t) ** -two_s
@@ -331,16 +391,29 @@ def _check_ascending(dm):
                          "ascending within and across elements")
 
 
+def _is_mirror_image(dm):
+    """Whether the reflection x -> a + b - x maps the dof map onto itself,
+    bit for bit: the degrees are a palindrome and the node distances to a
+    are those to b reversed.  The left-to-right numbering then sends local
+    k of element e, dof g, to local p_e - k of element E-1-e, dof N-1-g,
+    and the stiffness matrix A is persymmetric, A = A[::-1, ::-1]."""
+    nodes, deg = dm.mesh.nodes, dm.degrees
+    return np.array_equal(deg, deg[::-1]) and np.array_equal(
+        nodes - nodes[0], (nodes[-1] - nodes)[::-1])
+
+
 # rows per tile of the final scale-and-mirror: 64 was the fastest of
 # 32..256 at N = 419 and N = 1199
 _TILE = 64
 _STRICT_LOWER = np.tri(_TILE, _TILE, -1, dtype=bool)
 
 
-def _symmetric_in_place(work, scale):
+def _symmetric_in_place(work, scale, mirror):
     """The exactly symmetric n x n matrix whose upper triangle is scale
     times that of the (n+1) x (n+1) work array, built in work's own memory
-    as the C-contiguous view of its first n^2 entries.
+    as the C-contiguous view of its first n^2 entries; with mirror, the
+    exactly persymmetric one whose entries r + c <= n - 1 of the upper
+    triangle are read from work.
 
     One tile row at a time, in order: the upper part of the rows is scaled
     to its place at row stride n, the diagonal tile is mirrored, and the
@@ -348,20 +421,36 @@ def _symmetric_in_place(work, scale):
     final by then.  Row r moves r entries towards the start, so a tile
     overwrites only rows above it and its own source rows, which numpy
     buffers before it writes over them; the rows below are still intact.
-    Raises RuntimeError on a non-finite entry.
+    With mirror, only the first h = ceil(n/2) rows are built so, and of
+    their upper part only the columns c < n - r0 are scaled: the entries
+    with r + c > n - 1 are copied from (n-1-c, n-1-r), which is final and
+    has r + c < n - 1, before the diagonal tile is mirrored.  Each last
+    row r >= h is then row n-1-r reversed.  Raises RuntimeError on a
+    non-finite entry.
     """
     n = work.shape[0] - 1
     A = work.reshape(-1)[:n * n].reshape(n, n)
-    for r0 in range(0, n, _TILE):
-        r1 = min(r0 + _TILE, n)
-        upper = A[r0:r1, r0:]
-        np.multiply(work[r0:r1, r0:n], scale, out=upper)
+    rows = (n + 1) // 2 if mirror else n
+    for r0 in range(0, rows, _TILE):
+        r1 = min(r0 + _TILE, rows)
+        stop = n - r0 if mirror else n
+        upper = A[r0:r1, r0:stop]
+        np.multiply(work[r0:r1, r0:stop], scale, out=upper)
         if not np.isfinite(upper).all():
             raise RuntimeError("stiffness assembly produced non-finite "
                                "entries")
+        if mirror:
+            # the square of columns n-r1..n-r0-1 is its own source
+            corner = A[r0:r1, n - r1:n - r0]
+            np.copyto(corner, corner[::-1, ::-1].T,
+                      where=_STRICT_LOWER[:r1 - r0, :r1 - r0][:, ::-1])
+            A[r0:r1, n - r0:] = A[:r0, n - r1:n - r0][::-1, ::-1].T
         diag = A[r0:r1, r0:r1]
         np.copyto(diag, diag.T, where=_STRICT_LOWER[:r1 - r0, :r1 - r0])
         A[r0:r1, :r0] = A[:r0, r0:r1].T
+    for r0 in range(rows, n, _TILE):
+        r1 = min(r0 + _TILE, n)
+        A[r0:r1] = A[n - r1:n - r0][::-1, ::-1]
     return A
 
 
@@ -378,12 +467,16 @@ def assemble(dofmap, s, quad_offset=6):
     quad_offset = _check_offset(quad_offset)
     _check_ascending(dofmap)
     N = dofmap.n_dofs
+    mirror = _is_mirror_image(dofmap)
+    # a block is built when its first row and column dofs sum to at most
+    # limit: on a mirror image, when it reaches an entry r + c <= N - 1
+    limit = N - 1 if mirror else 2 * N
     work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
     jacobi = lru_cache(maxsize=None)(_jacobi01)  # for this call's s only
-    _adjacent_blocks(work, dofmap, s, quad_offset, jacobi)
-    sums = _disjoint_blocks(work, dofmap, s, quad_offset)
-    _element_blocks(work, dofmap, s, quad_offset, sums, jacobi)
-    A = _symmetric_in_place(work, 0.5 * kernel_constant(s))
+    _adjacent_blocks(work, dofmap, s, quad_offset, jacobi, limit)
+    sums = _disjoint_blocks(work, dofmap, s, quad_offset, limit)
+    _element_blocks(work, dofmap, s, quad_offset, sums, jacobi, limit)
+    A = _symmetric_in_place(work, 0.5 * kernel_constant(s), mirror)
     return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)
 
 

@@ -93,9 +93,38 @@ def _diff_matrix(p):
 def _shape_matrix(p, t):
     """Values of all p+1 cardinal functions at points t; shape (p+1, len(t))."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    nodes = _lobatto_nodes(p)
+    return _barycentric(p, t[None, :] - _lobatto_nodes(p)[:, None])
+
+
+@lru_cache(maxsize=None)
+def _lobatto_nodes01(p):
+    """The Gauss-Lobatto nodes mapped to (0, 1), (1 + t) / 2, each as the
+    unevaluated sum hi + lo of two doubles; lo is the rounding error of
+    1 + t, exact as |t| <= 1."""
+    t = _lobatto_nodes(p)
+    hi = 1.0 + t
+    lo = t - (hi - 1.0)
+    hi *= 0.5
+    lo *= 0.5
+    hi.flags.writeable = False
+    lo.flags.writeable = False
+    return hi, lo
+
+
+def _shape_matrix01(p, t):
+    """_shape_matrix(p, 2 t - 1) for points t of (0, 1), with the distances
+    t - node taken from the two-double nodes: they keep their relative
+    accuracy next to every node, which 2 t - 1 loses next to -1."""
+    hi, lo = _lobatto_nodes01(p)
+    d = t[None, :] - hi[:, None]
+    d -= lo[:, None]
+    return _barycentric(p, d)
+
+
+def _barycentric(p, d):
+    """The p+1 cardinal functions at the points whose distances to the
+    nodes are d[k, i] (any common scale); d is overwritten."""
     w = _bary_weights(p)
-    d = t[None, :] - nodes[:, None]
     exact = d == 0.0
     hit = exact.any(axis=0)
     d[exact] = 1.0

@@ -12,9 +12,10 @@ from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
                     build_geometric_mesh, cholesky_solve, complement_weight,
                     kernel_constant, solve_problem)
 from frachp.assembly import _endpoint_blocks
-from frachp.basis import _shape_matrix
+from frachp.basis import _shape_matrix, gauss_lobatto_nodes
 from frachp.quadrature import _rule01
-from oracles import MixedDegrees, oracle_stiffness, reflection_permutation
+from oracles import (MixedDegrees, lagrange_polys, oracle_stiffness,
+                     reflection_permutation)
 from pair_reference import pair_quadrature
 
 
@@ -110,13 +111,29 @@ def test_serial_assembly_deterministic():
     np.testing.assert_array_equal(A1, A2)
 
 
+def exact_divided_differences(p, x, z):
+    """(l_k(x) - l_k(z)) / (x - z) for the degree-p cardinal functions l_k
+    on (0, 1), as the mean of l_k' over [z, x] on the ceil(p/2)-point
+    Gauss-Legendre rule, exact for the degree p - 1 of l_k'.  The
+    derivatives are those of oracles.lagrange_polys on (-1, 1), where its
+    monomial coefficients stay small, times 2 for the map to (0, 1)."""
+    derivs = [q.deriv() for q in lagrange_polys(p, (-1.0, 1.0))]
+    theta, weights = np.polynomial.legendre.leggauss((p + 1) // 2)
+    X, Z = 2.0 * x - 1.0, 2.0 * z - 1.0
+    rows = np.zeros((p + 1, len(x)))
+    for th, w in zip(theta, weights):
+        point = 0.5 * (X + Z) + 0.5 * th * (X - Z)
+        rows += w * np.array([d(point) for d in derivs])
+    return rows
+
+
 def per_pair_stiffness(mesh, dm, s, quad_offset):
     """Stiffness from a loop over element pairs i <= j, each through
     pair_quadrature with its divided differences merged per global dof,
     plus a complement block per element.  Constrained dofs land in
     a spare row and column N.  Identical pairs are integrated on (0, 1) and
-    scaled by h^(1-2s): at the physical points of the smallest elements the
-    divided differences lose up to 4e-13 of the block maximum at s = 0.98
+    scaled by h^(1-2s), with exact divided differences: the quotient of
+    differences loses up to 2.5e-13 of the block maximum at s = 0.98
     (against a long-double evaluation), more than the tolerance below."""
     ne, N = mesh.n_elements, dm.n_dofs
     A = np.zeros((N + 1, N + 1))
@@ -129,15 +146,19 @@ def per_pair_stiffness(mesh, dm, s, quad_offset):
             h = pair[0][1] - pair[0][0]
             pair, scale = ((0.0, 1.0), (0.0, 1.0)), h ** (1.0 - 2.0 * s)
         x, z, w = pair_quadrature(s, max(p[i], p[j]) + quad_offset, pair)
-        (a1, b1), (a2, b2) = pair
-        shapes = np.concatenate((
-            _shape_matrix(p[i], 2.0 * (x - a1) / (b1 - a1) - 1.0),
-            -_shape_matrix(p[j], 2.0 * (z - a2) / (b2 - a2) - 1.0)))
-        g, merge = np.unique(np.concatenate((dofs[i], dofs[j])),
-                             return_inverse=True)
-        rows = np.zeros((len(g), len(x)))
-        np.add.at(rows, merge, shapes)
-        rows /= x - z
+        if i == j:
+            g = dofs[i]
+            rows = exact_divided_differences(p[i], x, z)
+        else:
+            (a1, b1), (a2, b2) = pair
+            shapes = np.concatenate((
+                _shape_matrix(p[i], 2.0 * (x - a1) / (b1 - a1) - 1.0),
+                -_shape_matrix(p[j], 2.0 * (z - a2) / (b2 - a2) - 1.0)))
+            g, merge = np.unique(np.concatenate((dofs[i], dofs[j])),
+                                 return_inverse=True)
+            rows = np.zeros((len(g), len(x)))
+            np.add.at(rows, merge, shapes)
+            rows /= x - z
         A[np.ix_(g, g)] += scale * (rows * w) @ rows.T
     c = kernel_constant(s)
     A *= 0.5 * c
@@ -370,6 +391,130 @@ def test_endpoint_blocks_mirror_each_other(s, L):
     mirrored = left[1:, 1:][::-1, ::-1]
     assert np.abs(right[:-1, :-1] - mirrored).max() <= 2e-15 * np.abs(
         mirrored).max()
+
+
+def long_double_divided_differences(p, x, z):
+    """(l_k(x) - l_k(z)) / (x - z) on (0, 1) in long double: the mean of
+    l_k' over [z, x] on a p-point Gauss-Legendre rule, its nodes polished
+    by Newton's method in long double, with l_k and the differentiation
+    matrix from the barycentric formula on the Gauss-Lobatto nodes."""
+    ld = np.longdouble
+    nodes = (gauss_lobatto_nodes(p).astype(ld) + 1) / 2
+    gaps = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(gaps, 1)
+    bary = 1 / gaps.prod(axis=1)
+    D = (bary[None, :] / bary[:, None]) / gaps
+    np.fill_diagonal(D, 0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    theta = np.polynomial.legendre.leggauss(p)[0].astype(ld)
+    for _ in range(3):
+        prev, leg = np.ones_like(theta), theta.copy()
+        for k in range(1, p):
+            prev, leg = leg, ((2 * k + 1) * theta * leg - k * prev) / (k + 1)
+        slope = p * (theta * leg - prev) / (theta * theta - 1)
+        theta -= leg / slope
+    weights = 1 / ((1 - theta * theta) * slope * slope)  # (0, 1) weights
+    x, z = x.astype(ld), z.astype(ld)
+    mean = np.zeros((p + 1, len(x)), dtype=ld)
+    for th, w in zip(theta, weights):
+        values = bary[:, None] / (z + (th + 1) / 2 * (x - z) - nodes[:, None])
+        mean += w * values / values.sum(axis=0)
+    return D.T @ mean
+
+
+@pytest.mark.parametrize("p", [8, 24])
+def test_identical_block_exact_in_long_double(p):
+    # the quotient (l(x) - l(z)) / (x - z) cancels where the Gauss-Jacobi
+    # distance x - z is small, which the weight t^(1-2s) favours as s -> 1:
+    # it is 2.5e-13 (p = 8) and 2.0e-13 (p = 24) of the block off
+    s = 0.98
+    tx, tz, w = quadrature_mod._identical_scheme(s, p + 6)
+    rows = assembly_mod._divided_differences(p, tx, tz)
+    block = (rows * w) @ rows.T
+    exact = long_double_divided_differences(p, tx, tz)
+    ref = (exact * w.astype(np.longdouble)) @ exact.T
+    assert np.abs(block - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("s", [0.02, 0.5, 0.98])
+@pytest.mark.parametrize("L", [0, 1, 6, 24])
+@pytest.mark.parametrize("kind", ["uniform", "reduced"])
+def test_mirror_maps_assemble_persymmetric(kind, L, s):
+    # on (-1, 1) the reflection x -> -x maps dof g to N-1-g
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
+                       DegreeRule(kind, L + 2))
+    A = assemble(dm, s).stiffness
+    np.testing.assert_array_equal(A, A[::-1, ::-1])
+    np.testing.assert_array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 127, 128, 129, 130, 257])
+def test_mirror_fill_matches_direct(n):
+    # upper entries r + c <= n - 1 come from the work array, scaled; the
+    # other upper entries from their mirrors (n-1-c, n-1-r); the lower
+    # triangle, the spare row and column of work are never read
+    work = np.random.default_rng(n).standard_normal((n + 1, n + 1))
+    scaled = 3.0 * work[:n, :n]
+    r, c = np.indices((n, n))
+    upper = np.where(r + c <= n - 1, scaled, scaled[::-1, ::-1].T)
+    expected = np.triu(upper) + np.triu(upper, 1).T
+    A = assembly_mod._symmetric_in_place(work, 3.0, True)
+    np.testing.assert_array_equal(A, expected)
+    np.testing.assert_array_equal(A, A[::-1, ::-1])
+
+
+def count_blocks(monkeypatch):
+    """Counters of the disjoint pairs and their kernel entries (from
+    _disjoint_n) and of the scattered symmetric blocks by width."""
+    counts = {"pairs": 0, "kernel": 0}
+    disjoint_n, scatter_upper = (assembly_mod._disjoint_n,
+                                 assembly_mod._scatter_upper)
+
+    def counting_n(*args):
+        n = disjoint_n(*args)
+        counts["pairs"] += len(n)
+        counts["kernel"] += int((n * n).sum())
+        return n
+
+    def counting_scatter(A, g, upper):
+        counts[g.shape[1]] = counts.get(g.shape[1], 0) + len(g)
+        scatter_upper(A, g, upper)
+
+    monkeypatch.setattr(assembly_mod, "_disjoint_n", counting_n)
+    monkeypatch.setattr(assembly_mod, "_scatter_upper", counting_scatter)
+    return counts
+
+
+def test_mirror_map_builds_half_the_blocks(monkeypatch):
+    # a block is built when it reaches an entry r + c <= N - 1; the
+    # full path builds 164,450 kernel entries at L = 14 and all 1176
+    # disjoint pairs, 49 adjacent pairs and 50 element blocks at L = 24
+    counts = count_blocks(monkeypatch)
+    assemble(build_dof_map(build_geometric_mesh((-1, 1), 0.6, 14),
+                           DegreeRule.uniform(14)), 0.5)
+    assert counts["kernel"] == 90625
+    counts.clear()
+    counts.update(pairs=0, kernel=0)
+    assemble(build_dof_map(build_geometric_mesh((-1, 1), 0.6, 24),
+                           DegreeRule.uniform(24)), 0.5)
+    # adjacent blocks span 2p + 1 = 49 dofs, element blocks p + 1 = 25
+    assert (counts["pairs"], counts[49], counts[25]) == (624, 26, 26)
+
+
+@pytest.mark.parametrize("domain, rule", [
+    ((-1, 1), MixedDegrees()), ((0.5, 3.5), DegreeRule.uniform(8))],
+    ids=["mixed", "shifted"])
+def test_other_maps_build_every_block(monkeypatch, domain, rule):
+    # degrees that are no palindrome, or nodes on (0.5, 3.5) whose
+    # distances to the two ends differ in the last bit, keep the full path
+    dm = build_dof_map(build_geometric_mesh(domain, 0.6, 6), rule)
+    counts = count_blocks(monkeypatch)
+    A = assemble(dm, 0.5).stiffness
+    ne = len(dm.h)
+    assert counts["pairs"] == (ne - 1) * (ne - 2) // 2
+    assert sum(counts.values()) - counts["pairs"] - counts["kernel"] == (
+        2 * ne - 1)
+    assert not np.array_equal(A, A[::-1, ::-1])
 
 
 def test_assembly_peak_memory_one_mirror_temporary():

@@ -56,6 +56,16 @@ def test_non_finite_input_rejected(where, bad):
         cholesky_solve(make_system(A, b))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_persymmetric_rejected(bad):
+    # a persymmetric A has its finiteness checked on its first half of
+    # rows, as the others mirror them; a NaN breaks persymmetry itself
+    A, b = persymmetric_spd(130, 0)
+    A[100, 100] = A[29, 29] = bad
+    with pytest.raises(ValueError, match="^A has non-finite"):
+        cholesky_solve(make_system(A, b))
+
+
 def test_runtime_imports_no_scipy():
     # numpy is the one runtime dependency; scipy is for the tests only
     code = ("import sys\n"
@@ -99,6 +109,84 @@ def test_block_factor_matches_dense_solve(n):
     junk = np.tril(A) + np.triu(rng.standard_normal((n, n)), 1)
     cho = linsolve_mod.linalg
     np.testing.assert_array_equal(cho.cho_solve(cho.cho_factor(junk), b), c)
+
+
+def persymmetric_spd(n, seed):
+    """A random SPD matrix equal to its transpose and its reversal in both
+    indices, bit for bit."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + n * np.eye(n)
+    A = 0.5 * (A + A.T)
+    return 0.5 * (A + A[::-1, ::-1]), rng.standard_normal(n)
+
+
+def factor_calls(monkeypatch):
+    """The `half` argument of each linalg.cho_factor call."""
+    calls = []
+    factor = linsolve_mod.linalg.cho_factor
+
+    def recording(A, *args):
+        calls.append(args[0] if args else None)
+        return factor(A, *args)
+
+    monkeypatch.setattr(linsolve_mod.linalg, "cho_factor", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 150])
+def test_persymmetric_split_matches_dense_solve(monkeypatch, n):
+    # above one 64-column block a persymmetric A is solved as its even
+    # half, ceil(n/2) rows, and its odd half, floor(n/2) rows
+    A, b = persymmetric_spd(n, n)
+    calls = factor_calls(monkeypatch)
+    sol = cholesky_solve(make_system(A, b))
+    ref = np.linalg.solve(A, b)
+    assert np.abs(sol.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert calls == (["even", "odd"] if n > 64 else [None])
+    assert sol.residual_norm <= 1e-12 * np.linalg.norm(b)
+    if n > 64:
+        # one pair of entries off the mirror by an ulp takes the whole factor
+        A[0, 1] = A[1, 0] = A[0, 1] * (1 + 2 ** -52)
+        calls.clear()
+        cholesky_solve(make_system(A, b))
+        assert calls == [None]
+
+
+def test_persymmetric_not_spd_names_half():
+    # A = I + 2 J (J the reversal) has the even half 3 I and the odd half -I
+    A = np.eye(150) + 2.0 * np.eye(150)[::-1]
+    with pytest.raises(NotSPDError, match=r"odd half fails .* rows 0\.\.63"):
+        cholesky_solve(make_system(A, np.ones(150)))
+    # a negative pivot at rows 100 and 199 lies in the even half's
+    # second block
+    A = np.eye(300)
+    A[100, 100] = A[199, 199] = -1.0
+    with pytest.raises(NotSPDError,
+                       match=r"even half fails .* rows 64\.\.127"):
+        cholesky_solve(make_system(A, np.ones(300)))
+
+
+@pytest.mark.parametrize("domain, bound", [((-1, 1), 0.35),
+                                           ((0.5, 3.5), 0.7)],
+                         ids=["split", "whole"])
+def test_solve_peak_memory_by_path(domain, bound):
+    # on (-1, 1) A is persymmetric and its two half factors hold about
+    # N^2 / 8 entries each, one at a time (the whole factor held 0.583
+    # 8 N^2); on (0.5, 3.5) the nodes are not mirrored bit for bit, so the
+    # whole factor is kept; the checks of A take no N x N temporary
+    mesh = build_geometric_mesh(domain, 0.6, 24)
+    dm = build_dof_map(mesh, DegreeRule.uniform(24))
+    system = replace(assemble(dm, 0.5),
+                     load=assemble_load(lambda x: np.ones_like(x), dm))
+    cholesky_solve(system)
+    tracemalloc.start()
+    try:
+        cholesky_solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * dm.n_dofs ** 2
 
 
 def test_solve_holds_half_a_factor():
