@@ -11,8 +11,7 @@ from .approx import (DerivativeNormSequence, DerivativeRecurrence,
                      build_hp_interpolant, endpoint_interpolation_check,
                      gauss_lobatto_interpolant, interpolant_weighted_error,
                      interpolation_error_study, weighted_derivative_norms)
-from .assembly import (GalerkinSystem, assemble, assemble_load,
-                       complement_weight, kernel_constant)
+from .assembly import GalerkinSystem, assemble, assemble_load, kernel_constant
 from .basis import (DegreeRule, DofMap, build_dof_map, eval_fem_derivative,
                     eval_fem_function, gauss_lobatto_nodes)
 from .geomesh import GeometricMesh, build_geometric_mesh, element_of

@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -42,10 +42,6 @@ __all__ = [
     "interpolation_error_study",
 ]
 
-# the weighted integrals reuse a few weight exponents at up to 1024 points
-_weighted_rule = lru_cache(maxsize=None)(_jacobi01)
-
-
 class DivergentIntegralError(RuntimeError):
     """Raised when a weighted integral fails to stabilize under refinement."""
 
@@ -53,7 +49,7 @@ class DivergentIntegralError(RuntimeError):
 def _rule_values(g, length, exponent, sizes):
     """length^(exponent+1) w @ g(length t) on the weighted rule of each size,
     with one call of g on the nodes of all of them."""
-    rules = [_weighted_rule(n, exponent, 0.0) for n in sizes]
+    rules = [_jacobi01(n, exponent, 0.0) for n in sizes]
     # a point that rounds onto the singularity gives a non-finite value,
     # which the caller rejects; numpy's warning about it would only repeat it
     with np.errstate(all="ignore"):
@@ -239,7 +235,7 @@ def weighted_derivative_norms(s, p_max, epsilon):
     norms = np.empty(p_max)
     for p in range(1, p_max + 1):
         q = rec.polynomials[p]
-        t, w = _weighted_rule(p + 16, 0.0, 2.0 * epsilon - 1.0)
+        t, w = _jacobi01(p + 16, 0.0, 2.0 * epsilon - 1.0)
         g = (1.0 + t) ** (2.0 * (s - p)) * q(t) ** 2
         norms[p - 1] = math.sqrt(2.0 * c * c * float(w @ g))
     gammas = [(norms[p - 1] / math.factorial(p)) ** (1.0 / p)

@@ -48,10 +48,11 @@ per degree, only the local upper triangle is scattered, which lands in the
 upper triangle too.  The upper triangle is then scaled by C(s)/2 and
 mirrored inside the work array, tile by tile, its rows moved forward to
 stride N, so that the first N^2 entries are the contiguous result: the
-assembly allocates no second N x N array.  The Gauss-Jacobi rules are
-computed once per assemble call and shared by the identical, adjacent and
-endpoint blocks.  The load is batched per degree on the same Gauss-Legendre
-shape tables, with points in per-element reference coordinates.
+assembly allocates no second N x N array.  The Gauss-Jacobi rules of the
+identical, adjacent and endpoint blocks come from the bounded cache of
+quadrature._jacobi01, so they are computed once for all calls at one s.
+The load is batched per degree on the same Gauss-Legendre shape tables,
+with points in per-element reference coordinates.
 
 A dof map that is its own mirror image under x -> a + b - x, bit for bit
 (palindromic degrees, mirrored nodes; every uniform and reduced map on
@@ -81,8 +82,7 @@ from .basis import _diff_matrix, _shape_matrix, _shape_matrix01
 from .quadrature import (_adjacent_lengths, _adjacent_scheme, _check_s,
                          _disjoint_n, _identical_scheme, _jacobi01, _rule01)
 
-__all__ = ["GalerkinSystem", "kernel_constant", "complement_weight",
-           "assemble", "assemble_load"]
+__all__ = ["GalerkinSystem", "kernel_constant", "assemble", "assemble_load"]
 
 
 @dataclass(frozen=True)
@@ -117,18 +117,6 @@ def _check_offset(quad_offset):
     if quad_offset < 0:
         raise ValueError(f"quad_offset must be nonnegative, got {quad_offset}")
     return quad_offset
-
-
-def complement_weight(domain, s, x):
-    """kappa(x) = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s) for interior x."""
-    _check_s(s)
-    a, b = float(domain[0]), float(domain[1])
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= a) or np.any(x >= b):
-        raise ValueError("complement weight diverges on the boundary; "
-                         "points must be strictly interior")
-    val = ((x - a) ** (-2.0 * s) + (b - x) ** (-2.0 * s)) / (2.0 * s)
-    return val[()]
 
 
 @lru_cache(maxsize=None)
@@ -211,15 +199,14 @@ def _adjacent_table(scheme, pi, pj):
     return (rows @ rows.swapaxes(-1, -2)).reshape(2 * n, m * m)
 
 
-def _adjacent_blocks(A, dm, s, quad_offset, jacobi, limit):
+def _adjacent_blocks(A, dm, s, quad_offset, limit):
     """T_e x T_e+1, twice (for the mirrored pair), per degree pair, for
     the pairs whose first dof, twice, is at most limit.
 
     The weight of a point factors into a radial part wq / xi^2, held in the
     table, and a per-pair part h_x h_z wu ell^(-1-2s) in the angular
     variable, so each block is one row of weights times the table.  The
-    scheme depends on the point count alone; jacobi keeps its radial rule
-    for the assemble call.
+    scheme depends on the point count alone.
     """
     kept = np.flatnonzero(2 * dm.table[:-1, 0] <= limit)
     left, right = dm.degrees[kept], dm.degrees[kept + 1]
@@ -232,7 +219,7 @@ def _adjacent_blocks(A, dm, s, quad_offset, jacobi, limit):
             tu, hx, hz) ** (-1.0 - 2.0 * s)
         # the table and the whole blocks are freed before the scatter
         upper = _upper((weights.reshape(len(es), 2 * n) @ _adjacent_table(
-            _adjacent_scheme(s, n, jacobi), pi, pj)).reshape(
+            _adjacent_scheme(s, n), pi, pj)).reshape(
                 len(es), pi + pj + 1, -1))
         g = np.concatenate((dm.dofs(es)[:, :pi], dm.dofs(es + 1)), axis=1)
         _scatter_upper(A, g, upper)
@@ -291,20 +278,19 @@ def _disjoint_blocks(A, dm, s, quad_offset, limit):
     return sums
 
 
-def _endpoint_blocks(dm, s, quad_offset, jacobi=_jacobi01):
+def _endpoint_blocks(dm, s, quad_offset):
     """int_T phi_k phi_l (dist to the near endpoint)^(-2s) / (2s) on the two
     boundary elements, as (element, block) pairs.
 
     The first-order zero of the active shapes is factored out and r^(2-2s),
     r being the distance to the near endpoint over h, is absorbed into one
-    Gauss-Jacobi rule for both ends, from jacobi(n, exp0, exp1); the right
-    end evaluates its shapes at the mirrored points, so its block is the
-    left one's mirror image.
+    Gauss-Jacobi rule for both ends; the right end evaluates its shapes at
+    the mirrored points, so its block is the left one's mirror image.
     """
     two_s = 2.0 * s
     for e in (0, len(dm.h) - 1):
         p = int(dm.degrees[e])
-        r, wj = jacobi(p + quad_offset, 2.0 - two_s, 0.0)
+        r, wj = _jacobi01(p + quad_offset, 2.0 - two_s, 0.0)
         x = 2.0 * r - 1.0
         ratios = _shape_matrix(p, x if e == 0 else -x)
         ratios /= r
@@ -338,7 +324,7 @@ def _divided_differences(p, tx, tz):
     return 2.0 * (_diff_matrix(p).T @ mean)
 
 
-def _element_blocks(A, dm, s, quad_offset, sums, jacobi, limit):
+def _element_blocks(A, dm, s, quad_offset, sums, limit):
     """Each element's own block, twice, scattered once per degree, for the
     elements whose first dof, twice, is at most limit: the identical pair
     T x T, S_n diag(weights) S_n^T for each point count n, and the
@@ -357,12 +343,12 @@ def _element_blocks(A, dm, s, quad_offset, sums, jacobi, limit):
     a, b = dm.lo[0], dm.hi[-1]
     two_s = 2.0 * s
     last = len(dm.h) - 1
-    ends = dict(_endpoint_blocks(dm, s, quad_offset, jacobi))
+    ends = dict(_endpoint_blocks(dm, s, quad_offset))
     kept = np.flatnonzero(2 * dm.table[:, 0] <= limit)
     for p in sorted(set(dm.degrees[kept].tolist())):
         es = kept[dm.degrees[kept] == p]
         h, n = dm.h[es, None], p + quad_offset
-        tx, tz, w = _identical_scheme(s, n, jacobi)
+        tx, tz, w = _identical_scheme(s, n)
         rows = _divided_differences(p, tx, tz)
         blocks = h[:, :, None] ** (1.0 - two_s) * ((rows * w) @ rows.T)
         t, w = _rule01(n)
@@ -472,10 +458,9 @@ def assemble(dofmap, s, quad_offset=6):
     # limit: on a mirror image, when it reaches an entry r + c <= N - 1
     limit = N - 1 if mirror else 2 * N
     work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
-    jacobi = lru_cache(maxsize=None)(_jacobi01)  # for this call's s only
-    _adjacent_blocks(work, dofmap, s, quad_offset, jacobi, limit)
+    _adjacent_blocks(work, dofmap, s, quad_offset, limit)
     sums = _disjoint_blocks(work, dofmap, s, quad_offset, limit)
-    _element_blocks(work, dofmap, s, quad_offset, sums, jacobi, limit)
+    _element_blocks(work, dofmap, s, quad_offset, sums, limit)
     A = _symmetric_in_place(work, 0.5 * kernel_constant(s), mirror)
     return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)
 

@@ -56,12 +56,19 @@ def _rule01(n):
 # n x n matrix (the weighted rules of `approx` reach 1024 points).
 _EIGH_MAX = 64
 
+_JACOBI_CACHE = 128  # the paper's studies use 74 distinct rules
 
+
+@lru_cache(maxsize=_JACOBI_CACHE)
 def _jacobi01(n, exp0, exp1):
     """Rule on (0, 1) with the weight t^exp0 (1-t)^exp1 absorbed.
 
-    Not cached: the exponents of the singular schemes move with s, so a
-    cache keyed by them would grow by a few rules with every new s.
+    The rules are kept, read-only, for the _JACOBI_CACHE most recently used
+    (n, exp0, exp1).  The exponents of the singular schemes move with s, so
+    an unbounded cache would grow with every new s; this bound holds the
+    whole working set of the paper's studies, the 128- to 1024-point
+    Newton rules of the weighted integrals included, and a sweep over many
+    s evicts only its own older rules.
     """
     n = int(n)
     if n < 1:
@@ -161,24 +168,22 @@ def _check_s(s):
         raise ValueError(f"fractional order s must lie in (0, 1), got {s}")
 
 
-def _identical_scheme(s, n, jacobi=_jacobi01):
+def _identical_scheme(s, n):
     """Identical pair T x T on the reference element T = (0, 1).
 
     Returns (tx, tz, w) on the triangle z < x: a Gauss-Jacobi rule in the
     diagonal distance tx - tz tensored with Gauss-Legendre along the
     element, with |tx - tz|^(1-2s) absorbed into w.  The triangle z > x is
     its mirror (tz, tx, w).  On an element of length h the points scale by
-    h and the weights by h^(3-2s).  jacobi(n, exp0, exp1) gives the
-    Gauss-Jacobi rule; the assembly passes one that keeps its rules for the
-    call.
+    h and the weights by h^(3-2s).
     """
-    tj, wj = jacobi(n, 1.0 - 2.0 * s, 1.0)
+    tj, wj = _jacobi01(n, 1.0 - 2.0 * s, 1.0)
     tu, wu = _rule01(n)
     span = ((1.0 - tj)[:, None] * tu[None, :]).ravel()
     return tj.repeat(n) + span, span, np.outer(wj, wu).ravel()
 
 
-def _adjacent_scheme(s, n, jacobi=_jacobi01):
+def _adjacent_scheme(s, n):
     """Duffy scheme for two elements that share a vertex.
 
     Points are distances from the shared vertex normalised per element,
@@ -190,10 +195,9 @@ def _adjacent_scheme(s, n, jacobi=_jacobi01):
     |x - z| = xi * ell with ell = _adjacent_lengths(tu, h_x, h_z) on the
     angular rule (tu, wu) = _rule01(n), and the weight with |x - z|^(1-2s)
     absorbed is h_x h_z wq wu ell^(1-2s), the Jacobi weight in xi carrying
-    xi^(1-2s) and the Duffy Jacobian xi.  jacobi is as for
-    _identical_scheme.
+    xi^(1-2s) and the Duffy Jacobian xi.
     """
-    xi, wq = jacobi(n, 2.0 - 2.0 * s, 0.0)
+    xi, wq = _jacobi01(n, 2.0 - 2.0 * s, 0.0)
     tu, wu = _rule01(n)
     radial = np.broadcast_to(xi[:, None], (n, n))
     angular = xi[:, None] * tu[None, :]

@@ -4,9 +4,10 @@ The double-integral oracle evaluates the inner z-integral in closed form
 (polynomial shift plus power-function antiderivatives) and the outer
 x-integral with QUADPACK adaptive quadrature; the complement-term oracle is
 fully adaptive.  Nothing here shares an evaluation path with the package's
-product quadrature schemes.  Two small helpers shared by several test files
-close the module: a degree rule with no two neighbouring elements of one
-degree, and the dof permutation of the reflection x -> a + b - x.
+product quadrature schemes.  Three small helpers shared by several test
+files close the module: the complement weight kappa in closed form, a
+degree rule with no two neighbouring elements of one degree, and the dof
+permutation of the reflection x -> a + b - x.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy import integrate
 
 from frachp import kernel_constant
 from frachp.basis import gauss_lobatto_nodes
+from frachp.quadrature import _check_s
 
 
 def lagrange_polys(p, interval):
@@ -166,6 +168,18 @@ def oracle_stiffness(mesh, dofmap, s, epsabs=1e-12):
                 if g[k] != g[l]:
                     A[g[l], g[k]] += C * val
     return A
+
+
+def complement_weight(domain, s, x):
+    """kappa(x) = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s) for interior x."""
+    _check_s(s)
+    a, b = float(domain[0]), float(domain[1])
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= a) or np.any(x >= b):
+        raise ValueError("complement weight diverges on the boundary; "
+                         "points must be strictly interior")
+    val = ((x - a) ** (-2.0 * s) + (b - x) ** (-2.0 * s)) / (2.0 * s)
+    return val[()]
 
 
 class MixedDegrees:

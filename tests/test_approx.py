@@ -11,10 +11,10 @@ from frachp import (DegreeRule, DivergentIntegralError,
                     weighted_derivative_norms)
 from frachp import approx
 from frachp.approx import (DerivativeRecurrence, _stabilized_integral,
-                           _weighted_rule, interpolant_weighted_error)
+                           interpolant_weighted_error)
 from frachp.basis import _element_eval, gauss_lobatto_nodes
 from frachp.postproc import solution_constant
-from frachp.quadrature import _rule01
+from frachp.quadrature import _jacobi01, _rule01
 
 ONES = lambda x: np.ones_like(np.asarray(x, dtype=float))
 ZEROS = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -252,7 +252,7 @@ def reference_stabilized_integral(g, length, exponent):
     vals = []
     n, n_max, rtol = 32, 1024, 1e-9
     while True:
-        t, w = _weighted_rule(n, exponent, 0.0)
+        t, w = _jacobi01(n, exponent, 0.0)
         vals.append(length ** (exponent + 1.0)
                     * float(w @ np.asarray(g(length * t), dtype=float)))
         if len(vals) >= 2:
@@ -388,8 +388,8 @@ def test_stabilized_integral_bit_equal_to_doubling(case, monkeypatch):
     else:
         want = reference_stabilized_integral(g, 0.7, exponent)
         assert _stabilized_integral(g, 0.7, exponent) == want
-    spy, rules = CallLog(g), CallLog(_weighted_rule)
-    monkeypatch.setattr(approx, "_weighted_rule", rules)
+    spy, rules = CallLog(g), CallLog(_jacobi01)
+    monkeypatch.setattr(approx, "_jacobi01", rules)
     try:
         _stabilized_integral(spy, 0.7, exponent)
     except DivergentIntegralError:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import frachp.quadrature as quadrature_mod
+from frachp import convergence_study, interpolation_error_study
 from frachp.quadrature import (_EIGH_MAX, _golub_welsch, _jacobi01,
                                _jacobi_newton, _rule01)
 from oracles import oracle_weighted_pair_integral
@@ -138,6 +140,42 @@ def test_gauss_jacobi_weights_against_mpmath(n, exp0, exp1):
     t, w = _jacobi01(n, exp0, exp1)
     np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-15)
     np.testing.assert_allclose(w, w_ref, rtol=1e-12)
+
+
+def test_jacobi_rule_cache_is_bounded():
+    # the singular schemes' exponents move with s: a sweep over many s
+    # evicts old rules instead of growing the cache
+    maxsize = _jacobi01.cache_info().maxsize
+    for s in np.linspace(0.01, 0.99, 2 * maxsize + 1):
+        t, w = _jacobi01(4, 1.0 - 2.0 * s, 1.0)
+        assert not t.flags.writeable and not w.flags.writeable
+    assert _jacobi01.cache_info().currsize <= maxsize
+
+
+def test_paper_working_set_fits_in_the_rule_cache(monkeypatch):
+    # a second round of the paper's studies computes no Gauss-Jacobi rule,
+    # the 128- to 1024-point Newton rules of the weighted integrals included
+    _jacobi01.cache_clear()
+    calls = []
+
+    def counting(rule):
+        def wrapped(n, exp0, exp1):
+            calls.append((n, exp0, exp1))
+            return rule(n, exp0, exp1)
+        return wrapped
+
+    for name in ("_golub_welsch", "_jacobi_newton"):
+        monkeypatch.setattr(quadrature_mod, name,
+                            counting(getattr(quadrature_mod, name)))
+    for round_ in range(2):
+        for kind in ("uniform", "reduced"):
+            convergence_study([0.3, 0.5, 0.7], 0.6, 10, kind)
+        for s in (0.3, 0.5, 0.7):
+            interpolation_error_study(s, 0.6, 10)
+        if round_ == 0:
+            first = len(calls)
+            assert any(n > _EIGH_MAX for n, _, _ in calls)
+    assert first > 0 and len(calls) == first
 
 
 def test_identical_constant_s_half():
