@@ -9,11 +9,11 @@ to study the exponential convergence of the method.
 from .approx import (DerivativeNormSequence, DerivativeRecurrence,
                      DivergentIntegralError, InterpolationBoundResult,
                      build_hp_interpolant, endpoint_interpolation_check,
-                     gauss_lobatto_interpolant, interpolant_weighted_error,
-                     interpolation_error_study, weighted_derivative_norms)
+                     interpolant_weighted_error, interpolation_error_study,
+                     weighted_derivative_norms)
 from .assembly import GalerkinSystem, assemble, assemble_load, kernel_constant
-from .basis import (DegreeRule, DofMap, build_dof_map, eval_fem_derivative,
-                    eval_fem_function, gauss_lobatto_nodes)
+from .basis import (DegreeRule, DofMap, build_dof_map, eval_fem_function,
+                    gauss_lobatto_nodes)
 from .geomesh import GeometricMesh, build_geometric_mesh, element_of
 from .linsolve import NotSPDError, Solution, cholesky_solve
 from .postproc import (ConvergenceRecord, EnergyGapError, convergence_study,

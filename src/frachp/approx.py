@@ -21,14 +21,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .basis import (DegreeRule, _element_eval, _lobatto_eval,
-                    _shape_deriv_matrix, _shape_matrix, build_dof_map,
-                    gauss_lobatto_nodes)
+from .basis import DegreeRule, _fem_values, _lobatto_nodes01, build_dof_map
 from .geomesh import build_geometric_mesh
 from .postproc import exact_solution, solution_constant
 from .quadrature import _jacobi01, _rule01
@@ -36,8 +33,7 @@ from .quadrature import _jacobi01, _rule01
 __all__ = [
     "DerivativeRecurrence", "DivergentIntegralError",
     "InterpolationBoundResult", "DerivativeNormSequence",
-    "endpoint_interpolation_check",
-    "gauss_lobatto_interpolant", "build_hp_interpolant",
+    "endpoint_interpolation_check", "build_hp_interpolant",
     "weighted_derivative_norms", "interpolant_weighted_error",
     "interpolation_error_study",
 ]
@@ -141,16 +137,6 @@ def endpoint_interpolation_check(v, dv, d2v, beta_prime, epsilon):
     return InterpolationBoundResult(lhs=lhs, rhs=rhs, ratio=ratio)
 
 
-def gauss_lobatto_interpolant(v, element, p):
-    """Degree-p interpolant of v at the mapped Gauss-Lobatto nodes, as a
-    callable on arrays; v is called once per node."""
-    lo, hi = float(element[0]), float(element[1])
-    t = gauss_lobatto_nodes(p)
-    x = lo + 0.5 * (hi - lo) * (t + 1.0)
-    values = np.array([float(v(xi)) for xi in x])
-    return partial(_lobatto_eval, values, lo, hi)
-
-
 def build_hp_interpolant(u, dofmap):
     """Nodal coefficients of the interpolant of u on dofmap: degree-p
     Gauss-Lobatto interpolation on each element of degree p.  On a
@@ -168,8 +154,7 @@ def build_hp_interpolant(u, dofmap):
     coeffs = np.zeros(dofmap.n_dofs)
     for p in sorted(set(dofmap.degrees.tolist())):
         es = np.flatnonzero(dofmap.degrees == p)
-        x = dofmap.lo[es, None] + 0.5 * dofmap.h[es, None] * (
-            gauss_lobatto_nodes(p) + 1.0)
+        x = dofmap.lo[es, None] + dofmap.h[es, None] * _lobatto_nodes01(p)[0]
         vals = np.asarray(u(np.concatenate((probe, x.ravel()))), dtype=float)
         if probe:
             ua, um, ub = vals[:3].tolist()
@@ -251,23 +236,22 @@ def _boundary_error_sq(u, du, dofmap, coeffs, e, beta_p):
     term) or into the derivative (derivative term); for s = 1/2 the residual
     factors are analytic.
     """
-    h = dofmap.h[e]
+    lo, h, es = dofmap.lo[e], dofmap.h[e], np.array([e])
     left = e == 0
     endpoint = dofmap.mesh.a if left else dofmap.mesh.b
     sign = 1.0 if left else -1.0
 
-    def phys(t):
-        return endpoint + sign * t * t
+    def err(t, derivative):
+        x = endpoint + sign * t * t
+        fem = _fem_values(dofmap, coeffs, es, ((x - lo) / h)[None],
+                          derivative)[0]
+        return (du if derivative else u)(x) - fem
 
     def value_integrand(t):
-        x = phys(t)
-        err = u(x) - _element_eval(dofmap, coeffs, e, x)
-        return (err / t) ** 2
+        return (err(t, False) / t) ** 2
 
     def deriv_integrand(t):
-        x = phys(t)
-        err = du(x) - _element_eval(dofmap, coeffs, e, x, derivative=True)
-        return (t * err) ** 2
+        return (t * err(t, True)) ** 2
 
     expo = 4.0 * beta_p - 1.0
     total = _stabilized_integral(value_integrand, math.sqrt(h), expo)
@@ -280,21 +264,12 @@ def _interior_error_sq(u, du, dofmap, coeffs, es, beta_p):
     the p + 24 Gauss points of each of the interior elements es, which
     share the degree p; one evaluation of u, du and each shape table serves
     the whole batch."""
-    p = int(dofmap.degrees[es[0]])
-    t, w = _rule01(p + 24)
-    lo, hi, h = dofmap.lo[es, None], dofmap.hi[es, None], dofmap.h[es, None]
-    x = lo + h * t
-    ref = (2.0 * (x - lo) / (hi - lo) - 1.0).ravel()
-    g = dofmap.dofs(es)
-    values = np.where(g >= 0, coeffs[g], 0.0)[:, None, :]
-
-    def fem(table):
-        # (elements, 1, p+1) @ (elements, p+1, points) per element
-        return (values @ table.reshape(p + 1, *x.shape).swapaxes(0, 1))[:, 0]
-
-    ev = u(x.ravel()).reshape(x.shape) - fem(_shape_matrix(p, ref))
-    ed = du(x.ravel()).reshape(x.shape) - fem(
-        _shape_deriv_matrix(p, ref)) * (2.0 / (hi - lo))
+    t, w = _rule01(int(dofmap.degrees[es[0]]) + 24)
+    x = dofmap.lo[es, None] + dofmap.h[es, None] * t
+    ev = u(x.ravel()).reshape(x.shape) - _fem_values(dofmap, coeffs, es,
+                                                     t[None])
+    ed = du(x.ravel()).reshape(x.shape) - _fem_values(dofmap, coeffs, es,
+                                                      t[None], True)
     r = 1.0 - np.abs(x)
     f = r ** (2.0 * beta_p) * ed ** 2 + r ** (2.0 * beta_p - 2.0) * ev ** 2
     return dofmap.h[es] * (f @ w)

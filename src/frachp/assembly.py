@@ -78,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _diff_matrix, _shape_matrix, _shape_matrix01
+from .basis import _diff_matrix, _shape_matrix
 from .quadrature import (_adjacent_lengths, _adjacent_scheme, _check_s,
                          _disjoint_n, _identical_scheme, _jacobi01, _rule01)
 
@@ -126,8 +126,7 @@ def _gauss_shapes(p, n):
     The table serves every disjoint pair, element block and load batch
     with these (p, n); it depends on neither the element nor s.
     """
-    t, _ = _rule01(n)
-    table = _shape_matrix(p, 2.0 * t - 1.0)
+    table = _shape_matrix(p, _rule01(n)[0])
     table.flags.writeable = False
     return table
 
@@ -183,7 +182,8 @@ def _adjacent_table(scheme, pi, pj):
     scheme (rho_x, rho_z, xi, wq) of _adjacent_scheme(s, n): row (t, u)
     holds sum_q wq/xi^2 r_k r_l over the radial points of triangle t at
     angular point u, r being the divided-difference rows with the shared
-    vertex merged; shape (2n, m*m), m = pi + pj + 1."""
+    vertex merged; shape (2n, m*m), m = pi + pj + 1.  T_e sees its points
+    at 1 - rho_x, so it takes the rows of its shapes at rho_x reversed."""
     rho_x, rho_z, xi, wq = scheme
     n = len(xi)
     # points ordered (t, u, q): each (k, q) slice below is a strided matrix
@@ -191,8 +191,8 @@ def _adjacent_table(scheme, pi, pj):
     m = pi + pj + 1
     rows = np.zeros((m, 2 * n * n))
     # local pi of T_e and local 0 of T_e+1 are the shared vertex
-    rows[:pi + 1] = _shape_matrix(pi, 1.0 - 2.0 * rho_x.ravel())
-    rows[pi:] -= _shape_matrix(pj, 2.0 * rho_z.ravel() - 1.0)
+    rows[:pi + 1] = _shape_matrix(pi, rho_x.ravel())[::-1]
+    rows[pi:] -= _shape_matrix(pj, rho_z.ravel())
     rows = rows.reshape(m, 2, n, n)
     rows *= np.sqrt(wq) / xi
     rows = rows.transpose(1, 2, 0, 3)  # (t, u, k, q)
@@ -284,18 +284,19 @@ def _endpoint_blocks(dm, s, quad_offset):
 
     The first-order zero of the active shapes is factored out and r^(2-2s),
     r being the distance to the near endpoint over h, is absorbed into one
-    Gauss-Jacobi rule for both ends; the right end evaluates its shapes at
-    the mirrored points, so its block is the left one's mirror image.
+    Gauss-Jacobi rule for both ends; the right end sees its shapes at the
+    mirrored points 1 - r, where they are those at r reversed, so its block
+    is the one at r with its rows and columns reversed.
     """
     two_s = 2.0 * s
     for e in (0, len(dm.h) - 1):
         p = int(dm.degrees[e])
         r, wj = _jacobi01(p + quad_offset, 2.0 - two_s, 0.0)
-        x = 2.0 * r - 1.0
-        ratios = _shape_matrix(p, x if e == 0 else -x)
+        ratios = _shape_matrix(p, r)
         ratios /= r
         weights = wj * dm.h[e] ** (1.0 - two_s) / two_s
-        yield e, (ratios * weights) @ ratios.T
+        block = (ratios * weights) @ ratios.T
+        yield e, block if e == 0 else block[::-1, ::-1]
 
 
 # shape values per batch of _divided_differences: the whole segment rule in
@@ -319,9 +320,9 @@ def _divided_differences(p, tx, tz):
     mean = np.zeros((p + 1, len(tx)))
     for c in range(0, len(theta), step):
         points = tz + theta[c:c + step, None] * span
-        values = _shape_matrix01(p, points.ravel())
+        values = _shape_matrix(p, points.ravel())
         mean += weights[c:c + step] @ values.reshape(p + 1, len(points), -1)
-    return 2.0 * (_diff_matrix(p).T @ mean)
+    return _diff_matrix(p).T @ mean
 
 
 def _element_blocks(A, dm, s, quad_offset, sums, limit):

@@ -3,7 +3,9 @@
 The discrete space is C^0 piecewise polynomial on a GeometricMesh with a
 per-element degree assignment and zero trace at the domain endpoints.  The
 local basis is nodal (Lagrange cardinal functions on the Gauss-Lobatto
-points), so interpolation at those points is a coefficient read-off.
+points), so interpolation at those points is a coefficient read-off.  The
+shapes live on the one reference element (0, 1), where the quadrature
+rules live too: element (lo, hi) of length h holds the point lo + h t.
 
 Global numbering: left to right.  Element e holds the consecutive indices
 off_e - 1, ..., off_e + p_e - 1 with off_e = p_0 + ... + p_{e-1}, its right
@@ -25,7 +27,7 @@ from .geomesh import GeometricMesh, element_of
 
 __all__ = [
     "DegreeRule", "DofMap", "gauss_lobatto_nodes", "build_dof_map",
-    "eval_fem_function", "eval_fem_derivative",
+    "eval_fem_function",
 ]
 
 
@@ -77,30 +79,10 @@ def _bary_weights(p):
 
 
 @lru_cache(maxsize=None)
-def _diff_matrix(p):
-    """D[i, j] = l_j'(t_i) on the Gauss-Lobatto nodes of degree p."""
-    t = _lobatto_nodes(p)
-    w = _bary_weights(p)
-    diff = t[:, None] - t[None, :]
-    np.fill_diagonal(diff, 1.0)
-    D = (w[None, :] / w[:, None]) / diff
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    D.flags.writeable = False
-    return D
-
-
-def _shape_matrix(p, t):
-    """Values of all p+1 cardinal functions at points t; shape (p+1, len(t))."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return _barycentric(p, t[None, :] - _lobatto_nodes(p)[:, None])
-
-
-@lru_cache(maxsize=None)
 def _lobatto_nodes01(p):
-    """The Gauss-Lobatto nodes mapped to (0, 1), (1 + t) / 2, each as the
-    unevaluated sum hi + lo of two doubles; lo is the rounding error of
-    1 + t, exact as |t| <= 1."""
+    """The Gauss-Lobatto nodes on the reference element (0, 1), (1 + t) / 2,
+    each as the unevaluated sum hi + lo of two doubles; lo is the rounding
+    error of 1 + t, exact as |t| <= 1."""
     t = _lobatto_nodes(p)
     hi = 1.0 + t
     lo = t - (hi - 1.0)
@@ -111,33 +93,39 @@ def _lobatto_nodes01(p):
     return hi, lo
 
 
-def _shape_matrix01(p, t):
-    """_shape_matrix(p, 2 t - 1) for points t of (0, 1), with the distances
-    t - node taken from the two-double nodes: they keep their relative
-    accuracy next to every node, which 2 t - 1 loses next to -1."""
-    hi, lo = _lobatto_nodes01(p)
-    d = t[None, :] - hi[:, None]
-    d -= lo[:, None]
-    return _barycentric(p, d)
-
-
-def _barycentric(p, d):
-    """The p+1 cardinal functions at the points whose distances to the
-    nodes are d[k, i] (any common scale); d is overwritten."""
+@lru_cache(maxsize=None)
+def _diff_matrix(p):
+    """D[i, j] = l_j'(t_i), the derivative on (0, 1), at the nodes t_i."""
+    t = _lobatto_nodes(p)
     w = _bary_weights(p)
+    diff = 0.5 * (t[:, None] - t[None, :])  # node distances on (0, 1)
+    np.fill_diagonal(diff, 1.0)
+    D = (w[None, :] / w[:, None]) / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    D.flags.writeable = False
+    return D
+
+
+def _shape_matrix(p, t):
+    """Values of all p+1 cardinal functions at points t of the reference
+    element (0, 1); shape (p+1, len(t)).  The distances t - node are taken
+    from the two-double nodes, so they keep their relative accuracy next
+    to every node.  On the mirrored point 1 - t the rows come reversed:
+    l_k(1 - t) = l_{p-k}(t)."""
+    hi, lo = _lobatto_nodes01(p)
+    d = np.asarray(t, dtype=float).reshape(1, -1) - hi[:, None]
+    d -= lo[:, None]
     exact = d == 0.0
-    hit = exact.any(axis=0)
     d[exact] = 1.0
-    vals = np.divide(w[:, None], d, out=d)  # in place: tables can be large
-    vals /= vals.sum(axis=0)
+    # barycentric formula, in place: tables can be large; a point on a
+    # node takes its unit column, which the normalisation keeps
+    vals = np.divide(_bary_weights(p)[:, None], d, out=d)
+    hit = exact.any(axis=0)
     if hit.any():
         vals[:, hit] = exact[:, hit]
+    vals /= vals.sum(axis=0)
     return vals
-
-
-def _shape_deriv_matrix(p, t):
-    # l_m' has degree p-1, so interpolating its nodal values is exact
-    return _diff_matrix(p).T @ _shape_matrix(p, t)
 
 
 @dataclass(frozen=True)
@@ -203,7 +191,7 @@ class DofMap:
         """Stacked dof rows of elements es, which must share one degree."""
         es = np.asarray(es)
         p = self.degrees[es]
-        if (p != p[0]).any():
+        if np.count_nonzero(p != p[0]):
             raise ValueError("dofs needs elements of one degree, got degrees "
                              f"{sorted(set(p.tolist()))}")
         return self.table[es, :p[0] + 1]
@@ -226,46 +214,41 @@ def build_dof_map(mesh, rule):
                   lo=mesh.nodes[:-1], hi=mesh.nodes[1:], h=h)
 
 
-def _lobatto_eval(values, lo, hi, x, derivative=False):
-    """The polynomial on (lo, hi) with nodal values `values` at the degree
-    len(values) - 1 Gauss-Lobatto points mapped there, or its derivative,
-    at x (a scalar gives a scalar)."""
-    x = np.asarray(x, dtype=float)
-    p = len(values) - 1
-    t = 2.0 * (x - lo) / (hi - lo) - 1.0
-    vals = values @ (_shape_deriv_matrix(p, t) if derivative
-                     else _shape_matrix(p, t))
+def _fem_values(dofmap, coeffs, es, t, derivative=False):
+    """The FEM function with coefficients coeffs, or its derivative in x,
+    at the reference points t[k, :] of element es[k]; the elements share
+    one degree, and a single row of t serves them all.  One coefficient
+    gather per element, one batched product; shape (len(es), t.shape[1])."""
+    g = dofmap.dofs(es)
+    p = g.shape[1] - 1
+    values = np.where(g >= 0, coeffs[g], 0.0)
     if derivative:
-        vals *= 2.0 / (hi - lo)
-    return vals.reshape(x.shape)[()]
-
-
-def _element_eval(dofmap, coeffs, e, x, derivative=False):
-    """Evaluate the FEM function (or derivative) at points x inside element e."""
-    g = dofmap.table[e, :dofmap.degrees[e] + 1]
-    return _lobatto_eval(np.where(g >= 0, coeffs[g], 0.0), dofmap.lo[e],
-                         dofmap.hi[e], x, derivative)
+        # the nodal values of the derivative, of degree p - 1: exact
+        values = values @ _diff_matrix(p).T / dofmap.h[es, None]
+    table = _shape_matrix(p, t.ravel()).reshape(p + 1, *t.shape)
+    return (values[:, None, :] @ table.swapaxes(0, 1))[:, 0]
 
 
 def _eval(dofmap, coeffs, x, derivative):
+    """The FEM function, or its derivative, at the points x, one batch per
+    degree; a mesh node belongs to the element on its right."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (dofmap.n_dofs,):
         raise ValueError(f"coefficient vector must have length {dofmap.n_dofs}, "
                          f"got shape {coeffs.shape}")
-    xs = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    xs = x.ravel()
     es = element_of(dofmap.mesh, xs) - 1
+    degrees = dofmap.degrees[es]
     out = np.empty_like(xs)
-    for e in sorted(set(np.ravel(es).tolist())):
-        at = es == e
-        out[at] = _element_eval(dofmap, coeffs, e, xs[at], derivative)
-    return out[()]
+    for p in sorted(set(degrees.tolist())):
+        at = degrees == p
+        e = es[at]
+        t = (xs[at] - dofmap.lo[e]) / dofmap.h[e]
+        out[at] = _fem_values(dofmap, coeffs, e, t[:, None], derivative)[:, 0]
+    return out.reshape(x.shape)[()]
 
 
 def eval_fem_function(dofmap, coeffs, x):
     """Value of sum_k coeffs[k] * phi_k at x; constrained dofs contribute 0."""
     return _eval(dofmap, coeffs, x, derivative=False)
-
-
-def eval_fem_derivative(dofmap, coeffs, x):
-    """Derivative of the FEM function at x (one-sided at mesh nodes)."""
-    return _eval(dofmap, coeffs, x, derivative=True)

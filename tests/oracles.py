@@ -4,10 +4,12 @@ The double-integral oracle evaluates the inner z-integral in closed form
 (polynomial shift plus power-function antiderivatives) and the outer
 x-integral with QUADPACK adaptive quadrature; the complement-term oracle is
 fully adaptive.  Nothing here shares an evaluation path with the package's
-product quadrature schemes.  Three small helpers shared by several test
-files close the module: the complement weight kappa in closed form, a
-degree rule with no two neighbouring elements of one degree, and the dof
-permutation of the reflection x -> a + b - x.
+product quadrature schemes.  Small helpers shared by several test files
+close the module: the complement weight kappa in closed form, a degree rule
+with no two neighbouring elements of one degree, the dof permutation of the
+reflection x -> a + b - x, and two evaluators on the package's own nodes
+and shapes: the Gauss-Lobatto interpolant on one interval and the
+derivative of a FEM function.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from numpy.polynomial import Polynomial as Poly
 from scipy import integrate
 
 from frachp import kernel_constant
-from frachp.basis import gauss_lobatto_nodes
+from frachp.basis import _eval, _shape_matrix, gauss_lobatto_nodes
 from frachp.quadrature import _check_s
 
 
@@ -204,3 +206,25 @@ def reflection_permutation(dofmap):
         perm[src[src >= 0]] = dst[src >= 0]
     assert sorted(perm) == list(range(dofmap.n_dofs))
     return perm
+
+
+def gauss_lobatto_interpolant(v, element, p):
+    """Degree-p interpolant of v at the mapped Gauss-Lobatto nodes, as a
+    callable on arrays (a scalar gives a scalar); v is called once per
+    node."""
+    lo, hi = float(element[0]), float(element[1])
+    x = lo + 0.5 * (hi - lo) * (gauss_lobatto_nodes(p) + 1.0)
+    values = np.array([float(v(xi)) for xi in x])
+
+    def interpolant(xs):
+        xs = np.asarray(xs, dtype=float)
+        t = ((xs - lo) / (hi - lo)).ravel()
+        return (values @ _shape_matrix(p, t)).reshape(xs.shape)[()]
+
+    return interpolant
+
+
+def eval_fem_derivative(dofmap, coeffs, x):
+    """Derivative of the FEM function at x (one-sided at mesh nodes, from
+    the element on the right)."""
+    return _eval(dofmap, coeffs, x, derivative=True)

@@ -21,10 +21,10 @@ import pytest
 
 from frachp import (DegreeRule, assemble, build_dof_map, build_geometric_mesh,
                     convergence_study, energy_error, eval_fem_function,
-                    exact_energy, exact_solution, gauss_lobatto_interpolant,
+                    exact_energy, exact_solution,
                     endpoint_interpolation_check, solve_problem, weighted_derivative_norms)
 from frachp.approx import interpolant_weighted_error
-from oracles import oracle_stiffness
+from oracles import gauss_lobatto_interpolant, oracle_stiffness
 
 S_VALUES = (0.3, 0.5, 0.7)
 SIGMA = 0.6

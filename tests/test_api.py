@@ -13,9 +13,11 @@ MODULES = ["approx", "assembly", "basis", "cli", "geomesh", "linsolve",
 
 REMOVED = {
     "approx": ["WeightedNormSpec", "weighted_h1_norm",
-               "linear_interpolant_half_one", "linear_endpoint_interpolant"],
+               "linear_interpolant_half_one", "linear_endpoint_interpolant",
+               "gauss_lobatto_interpolant"],
     "assembly": ["complement_weight"],
-    "basis": ["legendre_eval", "shape_eval", "shape_deriv"],
+    "basis": ["legendre_eval", "shape_eval", "shape_deriv",
+              "eval_fem_derivative"],
 }
 
 

@@ -152,8 +152,8 @@ def per_pair_stiffness(mesh, dm, s, quad_offset):
         else:
             (a1, b1), (a2, b2) = pair
             shapes = np.concatenate((
-                _shape_matrix(p[i], 2.0 * (x - a1) / (b1 - a1) - 1.0),
-                -_shape_matrix(p[j], 2.0 * (z - a2) / (b2 - a2) - 1.0)))
+                _shape_matrix(p[i], (x - a1) / (b1 - a1)),
+                -_shape_matrix(p[j], (z - a2) / (b2 - a2))))
             g, merge = np.unique(np.concatenate((dofs[i], dofs[j])),
                                  return_inverse=True)
             rows = np.zeros((len(g), len(x)))
@@ -185,7 +185,7 @@ def complement_block(dm, s, e, quad_offset):
         kappa = (x - a) ** (-2.0 * s) / (2.0 * s)
     else:
         kappa = complement_weight((a, b), s, x)
-    vals = _shape_matrix(p, 2.0 * (x - lo) / (hi - lo) - 1.0)
+    vals = _shape_matrix(p, (x - lo) / (hi - lo))
     return (vals * (w * (hi - lo) * kappa)) @ vals.T
 
 
@@ -337,7 +337,7 @@ def per_element_load(f, mesh, dm, quad_offset=6):
         x = lo + (hi - lo) * t
         g = dm.table[e, :p + 1]
         keep = g >= 0
-        vals = _shape_matrix(p, 2.0 * (x - lo) / (hi - lo) - 1.0)[keep]
+        vals = _shape_matrix(p, (x - lo) / (hi - lo))[keep]
         b[g[keep]] += vals @ (w * (hi - lo) * f(x))
     return b
 
@@ -381,16 +381,15 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
 def test_endpoint_blocks_mirror_each_other(s, L):
     # the two boundary elements of a uniform mesh on (-1, 1) are mirror
     # images, so the right end's block is the left end's with its active
-    # rows and columns reversed; a rule of its own for the right end, with
-    # the weight (1 - t)^(2-2s), misses that by up to 6.8e-14 of the maximum
-    # (1 - t cancels at its nodes near 1)
+    # rows and columns reversed, bit for bit; a rule of its own for the
+    # right end, with the weight (1 - t)^(2-2s), missed that by up to
+    # 6.8e-14 of the maximum (1 - t cancels at its nodes near 1), and the
+    # shapes at the rounded points 1 - r by up to 5.4e-16
     dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
                        DegreeRule.uniform(L))
     assert dm.h[0] == dm.h[-1]
     (_, left), (_, right) = _endpoint_blocks(dm, s, 6)
-    mirrored = left[1:, 1:][::-1, ::-1]
-    assert np.abs(right[:-1, :-1] - mirrored).max() <= 2e-15 * np.abs(
-        mirrored).max()
+    assert np.array_equal(right[:-1, :-1], left[1:, 1:][::-1, ::-1])
 
 
 def long_double_divided_differences(p, x, z):

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from frachp import (DegreeRule, DerivativeRecurrence, build_dof_map,
-                    build_geometric_mesh, eval_fem_derivative,
-                    eval_fem_function, gauss_lobatto_nodes,
-                    weighted_derivative_norms)
-from frachp.basis import _legendre_pair, _shape_deriv_matrix, _shape_matrix
-from oracles import MixedDegrees
+                    build_geometric_mesh, eval_fem_function,
+                    gauss_lobatto_nodes, weighted_derivative_norms)
+from frachp.basis import (_diff_matrix, _legendre_pair, _lobatto_nodes01,
+                          _shape_matrix)
+from oracles import MixedDegrees, eval_fem_derivative
+
+
+def shape_derivs(p, t):
+    """l_k'(t) on (0, 1): l_k' has degree p - 1, so the shapes interpolate
+    its nodal values, column k of the differentiation matrix, exactly."""
+    return _diff_matrix(p).T @ _shape_matrix(p, t)
 
 
 def test_lobatto_small_degrees():
@@ -61,38 +67,44 @@ def test_legendre_values():
 
 
 def test_shape_cardinal_property():
+    # the nodes on (0, 1) are the two-double sums hi + lo; where lo = 0
+    # (both vertices, and every node for p <= 2) hi is the node and reads
+    # its unit column exactly; elsewhere hi lies -lo from the node, and the
+    # column is the unit one moved by -lo l'(node), to first order
     for p in (1, 2, 4, 7):
-        t = gauss_lobatto_nodes(p)
-        for k in range(p + 1):
-            vals = _shape_matrix(p, t)[k]
-            np.testing.assert_array_equal(vals, np.eye(p + 1)[k])
+        hi, lo = _lobatto_nodes01(p)
+        vals = _shape_matrix(p, hi)
+        node = lo == 0.0
+        assert node[0] and node[-1]
+        np.testing.assert_array_equal(vals[:, node], np.eye(p + 1)[:, node])
+        np.testing.assert_allclose(vals, np.eye(p + 1) - _diff_matrix(p).T * lo,
+                                   rtol=0, atol=1e-28)
 
 
 def test_shape_values():
-    assert _shape_matrix(1, -1.0)[0, 0] == 1.0
+    assert _shape_matrix(1, 0.0)[0, 0] == 1.0
     assert _shape_matrix(1, 1.0)[0, 0] == 0.0
-    assert _shape_matrix(2, 0.0)[1, 0] == 1.0
-    assert _shape_matrix(2, 0.5)[1, 0] == pytest.approx(0.75, rel=1e-14)  # 1 - t^2
+    assert _shape_matrix(2, 0.5)[1, 0] == 1.0
+    assert _shape_matrix(2, 0.75)[1, 0] == pytest.approx(0.75, rel=1e-14)  # 4t(1-t)
 
 
 def test_shape_partition_of_unity():
     for p in (1, 3, 6, 10):
-        t = np.linspace(-1, 1, 41)
+        t = np.linspace(0, 1, 41)
         total = sum(_shape_matrix(p, t)[k] for k in range(p + 1))
         np.testing.assert_allclose(total, 1.0, atol=1e-13)
-        dtotal = sum(_shape_deriv_matrix(p, t)[k] for k in range(p + 1))
+        dtotal = sum(shape_derivs(p, t)[k] for k in range(p + 1))
         np.testing.assert_allclose(dtotal, 0.0, atol=1e-12)
 
 
 def test_shape_deriv_matches_difference_quotient():
     p = 5
     for k in (0, 2, 5):
-        for t in (-0.77, 0.1, 0.93):
+        for t in (0.115, 0.55, 0.965):
             h = 1e-6
             fd = (_shape_matrix(p, t + h)[k, 0]
                   - _shape_matrix(p, t - h)[k, 0]) / (2 * h)
-            assert _shape_deriv_matrix(p, t)[k, 0] == pytest.approx(fd,
-                                                                    abs=1e-8)
+            assert shape_derivs(p, t)[k, 0] == pytest.approx(fd, abs=1e-8)
 
 
 def test_dof_counts():
@@ -234,13 +246,14 @@ def points_with_owners(mesh, dm, rng):
     points of each element and three random interior points per element, as
     (x, element that owns x, reference coordinate of x there, local dof
     index of x there or -1).  A node is owned by the element on its right,
-    b by the last element."""
+    b by the last element.  Reference coordinates are on (0, 1)."""
     xs, owner, ts, local = [], [], [], []
     for e, (lo, hi) in enumerate(zip(dm.lo, dm.hi)):
         p = int(dm.degrees[e])
         k = np.arange(p + 1 if e == mesh.n_elements - 1 else p)
-        t = np.concatenate((gauss_lobatto_nodes(p)[k], rng.uniform(-1, 1, 3)))
-        x = lo + 0.5 * (hi - lo) * (t + 1.0)
+        t = np.concatenate((0.5 * (gauss_lobatto_nodes(p)[k] + 1.0),
+                            rng.uniform(0, 1, 3)))
+        x = lo + (hi - lo) * t
         x[t == 1.0] = hi
         xs.append(x)
         owner.append(np.full(len(t), e))
@@ -260,8 +273,8 @@ def test_eval_one_array_of_nodes_and_interior_points(kind):
     def expand(coeffs, e, t, deriv):
         # sum_k coeffs[g_k] l_k(t) on element e, constrained dofs left out
         p = int(dm.degrees[e])
-        scale = 2.0 / dm.h[e] if deriv else 1.0
-        shape = (_shape_deriv_matrix if deriv else _shape_matrix)(p, t)[:, 0]
+        scale = 1.0 / dm.h[e] if deriv else 1.0
+        shape = (shape_derivs if deriv else _shape_matrix)(p, t)[:, 0]
         return scale * sum(coeffs[g] * shape[k]
                            for k, g in enumerate(dm.table[e, :p + 1]) if g >= 0)
 
@@ -285,7 +298,7 @@ def test_eval_one_array_of_nodes_and_interior_points(kind):
     for node in mesh.nodes[1:-1]:
         i = int(np.flatnonzero(xs == node)[0])
         left = expand(coeffs, owner[i] - 1, 1.0, True)
-        assert ders[i] == pytest.approx(expand(coeffs, owner[i], -1.0, True),
+        assert ders[i] == pytest.approx(expand(coeffs, owner[i], 0.0, True),
                                         rel=1e-12)
         assert abs(ders[i] - left) > 1e-6 * abs(left)
 
