@@ -105,21 +105,9 @@ def _cho_solve(factor, b):
     return c
 
 
-# scipy.linalg's names, called through this namespace so that a caller can
-# wrap the two steps (the traced benchmark times them separately)
+# the factor and solve steps, called through this namespace so that a
+# caller can wrap them (the traced benchmark times them separately)
 linalg = SimpleNamespace(cho_factor=_cho_factor, cho_solve=_cho_solve)
-
-
-def _row_tiles(n):
-    return ((r, min(r + _BLOCK, n)) for r in range(0, n, _BLOCK))
-
-
-def _is_persymmetric(A):
-    """A == A[::-1, ::-1], bit for bit, compared one tile of rows at a
-    time against its mirror rows, with no N x N temporary."""
-    n = len(A)
-    return all(np.array_equal(A[r0:r1], A[n - r1:n - r0][::-1, ::-1])
-               for r0, r1 in _row_tiles((n + 1) // 2))
 
 
 def cholesky_solve(system):
@@ -137,24 +125,30 @@ def cholesky_solve(system):
     if A.ndim != 2 or b.ndim != 1 or not A.shape[0] == A.shape[1] == len(b):
         raise ValueError("inconsistent system dimensions")
     n = len(b)
-    split = n > _BLOCK and _is_persymmetric(A)
-    # a NaN breaks persymmetry, and row r >= h equals row n-1-r reversed
-    checked = (n + 1) // 2 if split else n
-    if not all(np.isfinite(A[r0:r1]).all() for r0, r1 in _row_tiles(checked)):
+    h = (n + 1) // 2
+    # one pass over the top h rows, a tile of 64 at a time with no N x N
+    # temporary: each tile is finite and, above one block, equal to its
+    # mirror tile reversed; row r >= h of a persymmetric A is row n-1-r
+    # reversed, so only an A that does not split has those rows checked
+    split = n > _BLOCK
+    for r0 in range(0, h, _BLOCK):
+        r1 = min(r0 + _BLOCK, h)
+        if not np.isfinite(A[r0:r1]).all():
+            raise ValueError("A has non-finite entries")
+        split = split and np.array_equal(A[r0:r1],
+                                         A[n - r1:n - r0][::-1, ::-1])
+    if not (split or all(np.isfinite(A[r0:r0 + _BLOCK]).all()
+                         for r0 in range(h, n, _BLOCK))):
         raise ValueError("A has non-finite entries")
     if not np.isfinite(b).all():
         raise ValueError("b has non-finite entries")
     if split:
-        h, m = (n + 1) // 2, n // 2
-        y = linalg.cho_solve(linalg.cho_factor(A, "even"),
-                             0.5 * (b + b[::-1])[:h])
-        v = linalg.cho_solve(linalg.cho_factor(A, "odd"),
-                             0.5 * (b - b[::-1])[:m])
         c = np.zeros(n)
-        c[:h] += y
-        c[n - h:] += y[::-1]
-        c[:m] += v
-        c[n - m:] -= v[::-1]
+        for half, size, sign in (("even", h, 1), ("odd", n // 2, -1)):
+            y = linalg.cho_solve(linalg.cho_factor(A, half),
+                                 0.5 * (b + sign * b[::-1])[:size])
+            c[:size] += y
+            c[n - size:] += sign * y[::-1]
     else:
         c = linalg.cho_solve(linalg.cho_factor(A), b)
     r = b - A @ c

@@ -59,11 +59,15 @@ def test_non_finite_input_rejected(where, bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_persymmetric_rejected(bad):
     # a persymmetric A has its finiteness checked on its first half of
-    # rows, as the others mirror them; a NaN breaks persymmetry itself
-    A, b = persymmetric_spd(130, 0)
-    A[100, 100] = A[29, 29] = bad
-    with pytest.raises(ValueError, match="^A has non-finite"):
-        cholesky_solve(make_system(A, b))
+    # rows, as the others mirror them; a NaN breaks persymmetry itself.
+    # A bad value at A[N-1, N-1] alone leaves the top rows finite, breaks
+    # the mirror, and is caught by the check of the bottom rows
+    for spots in (((100, 100), (29, 29)), ((129, 129),)):
+        A, b = persymmetric_spd(130, 0)
+        for spot in spots:
+            A[spot] = bad
+        with pytest.raises(ValueError, match="^A has non-finite"):
+            cholesky_solve(make_system(A, b))
 
 
 def test_runtime_imports_no_scipy():
@@ -137,14 +141,18 @@ def factor_calls(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 150])
 def test_persymmetric_split_matches_dense_solve(monkeypatch, n):
     # above one 64-column block a persymmetric A is solved as its even
-    # half, ceil(n/2) rows, and its odd half, floor(n/2) rows
+    # half, ceil(n/2) rows, and its odd half, floor(n/2) rows; both halves
+    # are factored, and so checked, even for an exactly even load, whose
+    # odd half is zero
     A, b = persymmetric_spd(n, n)
     calls = factor_calls(monkeypatch)
-    sol = cholesky_solve(make_system(A, b))
-    ref = np.linalg.solve(A, b)
-    assert np.abs(sol.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert calls == (["even", "odd"] if n > 64 else [None])
-    assert sol.residual_norm <= 1e-12 * np.linalg.norm(b)
+    for load in (b, b + b[::-1]):
+        calls.clear()
+        sol = cholesky_solve(make_system(A, load))
+        ref = np.linalg.solve(A, load)
+        assert np.abs(sol.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert calls == (["even", "odd"] if n > 64 else [None])
+        assert sol.residual_norm <= 1e-12 * np.linalg.norm(load)
     if n > 64:
         # one pair of entries off the mirror by an ulp takes the whole factor
         A[0, 1] = A[1, 0] = A[0, 1] * (1 + 2 ** -52)
