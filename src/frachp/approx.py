@@ -151,7 +151,7 @@ def build_hp_interpolant(u, dofmap):
     """
     mesh = dofmap.mesh
     probe = [mesh.a, 0.5 * (mesh.a + mesh.b), mesh.b]
-    coeffs = np.zeros(dofmap.n_dofs)
+    coeffs = np.zeros(dofmap.n_dofs + 1)  # coeffs[-1] takes constrained dofs
     for p in sorted(set(dofmap.degrees.tolist())):
         es = np.flatnonzero(dofmap.degrees == p)
         x = dofmap.lo[es, None] + dofmap.h[es, None] * _lobatto_nodes01(p)[0]
@@ -166,9 +166,8 @@ def build_hp_interpolant(u, dofmap):
         probe = []
         # the right vertex of each element is read from its right neighbour
         # (the last one is constrained), so every dof is written once
-        g = dofmap.table[es, :p]
-        coeffs[g[g >= 0]] = vals[:, :p][g >= 0]
-    return coeffs
+        coeffs[dofmap.table[es, :p]] = vals[:, :p]
+    return coeffs[:-1]
 
 
 @dataclass(frozen=True)

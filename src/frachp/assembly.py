@@ -17,7 +17,9 @@ i < j) with the schemes of the quadrature module, batched per pair class:
   whose rows are divided differences on the reference element, each taken
   exactly as the mean of the shapes' derivative along its segment, so no
   difference of nearby values is divided by their distance; these are
-  symmetric in x and z, so the block is twice that of the triangle z < x;
+  symmetric in x and z, so the block is twice that of the triangle z < x.
+  The reference blocks are built before the work array is allocated, so
+  the shape values on the segments are never live beside it;
 * adjacent pairs T_e x T_e+1: the points are distances from the shared
   vertex normalised per element, so one shape table serves each degree
   pair; a pair only contributes its weights in the angular Duffy variable,
@@ -158,23 +160,16 @@ def _triu(n, k=0):
     return rows, cols
 
 
-def _upper(blocks):
-    """The local upper triangles k <= l of the square blocks[b], in
-    np.triu_indices order."""
-    k, l = _triu(blocks.shape[-1])
-    return blocks[:, k, l]
-
-
-def _scatter_upper(A, g, upper):
-    """Scatter upper = _upper(blocks) of symmetric blocks, entry (k, l) of
-    block b at (g[b, k], g[b, l]).  The dofs of each row of g ascend, so
-    every entry lands on or above the diagonal of A (or in its spare row
-    and column); the strict lower triangle, which the mirror overwrites,
-    gets none."""
+def _scatter_upper(A, g, blocks):
+    """Scatter the local upper triangles k <= l of the symmetric blocks,
+    entry (k, l) of blocks[b] at (g[b, k], g[b, l]).  The dofs of each row
+    of g ascend, so every entry lands on or above the diagonal of A (or in
+    its spare row and column); the strict lower triangle, which the mirror
+    overwrites, gets none."""
     k, l = _triu(g.shape[1])
     flat = (g * A.shape[1])[:, k]
     flat += g[:, l]
-    _scatter(A, flat, upper)
+    _scatter(A, flat, blocks[:, k, l])
 
 
 def _adjacent_table(scheme, pi, pj):
@@ -217,12 +212,10 @@ def _adjacent_blocks(A, dm, s, quad_offset, limit):
         hx, hz = dm.h[es, None], dm.h[es + 1, None]
         weights = 2.0 * hx[:, None] * hz[:, None] * wu * _adjacent_lengths(
             tu, hx, hz) ** (-1.0 - 2.0 * s)
-        # the table and the whole blocks are freed before the scatter
-        upper = _upper((weights.reshape(len(es), 2 * n) @ _adjacent_table(
-            _adjacent_scheme(s, n), pi, pj)).reshape(
-                len(es), pi + pj + 1, -1))
+        blocks = weights.reshape(len(es), 2 * n) @ _adjacent_table(
+            _adjacent_scheme(s, n), pi, pj)
         g = np.concatenate((dm.dofs(es)[:, :pi], dm.dofs(es + 1)), axis=1)
-        _scatter_upper(A, g, upper)
+        _scatter_upper(A, g, blocks.reshape(len(es), pi + pj + 1, -1))
 
 
 def _disjoint_blocks(A, dm, s, quad_offset, limit):
@@ -299,47 +292,49 @@ def _endpoint_blocks(dm, s, quad_offset):
         yield e, block if e == 0 else block[::-1, ::-1]
 
 
-# shape values per batch of _divided_differences: the whole segment rule in
-# one batch up to p = 14 (n = 20) at quad_offset 6, five of its twelve
-# points per batch at p = 24 (1 MB); one point per batch took 1.7 (p = 4)
-# to 2.5 times (p = 14, 24) as long
-_SEGMENT_BATCH = 1 << 17
-
-
 def _divided_differences(p, tx, tz):
     """Rows (S(tx) - S(tz)) / (tx - tz) of the degree-p shapes S on the
     reference element (0, 1), taken exactly as the mean of S' over
     [tz, tx]: S' has degree p - 1, so the ceil(p/2)-point Gauss-Legendre
     rule on the segment integrates it exactly, and no difference of nearby
-    values is divided by their distance.  The shape values are summed over
-    the rule's points, in batches of _SEGMENT_BATCH values, then
-    differentiated once."""
+    values is divided by their distance.  The shape values at all the
+    rule's points are summed in one product, then differentiated once."""
     theta, weights = _rule01((p + 1) // 2)
-    span = tx - tz
-    step = max(1, _SEGMENT_BATCH // ((p + 1) * len(tx)))
-    mean = np.zeros((p + 1, len(tx)))
-    for c in range(0, len(theta), step):
-        points = tz + theta[c:c + step, None] * span
-        values = _shape_matrix(p, points.ravel())
-        mean += weights[c:c + step] @ values.reshape(p + 1, len(points), -1)
+    values = _shape_matrix(p, (tz + theta[:, None] * (tx - tz)).ravel())
+    mean = weights @ values.reshape(p + 1, len(theta), -1)
     return _diff_matrix(p).T @ mean
 
 
-def _element_blocks(A, dm, s, quad_offset, sums, limit):
+def _identical_blocks(dm, s, quad_offset):
+    """The reference block of the identical pair for each degree p of dm,
+    on the (p + quad_offset)-point scheme: the divided-difference rows r
+    weighted on the triangle z < x, sum_q w_q r_k r_l.  Called before the
+    work array is allocated, so that the shape values of the segment rule
+    are never live beside it."""
+    blocks = {}
+    for p in set(dm.degrees.tolist()):
+        tx, tz, w = _identical_scheme(s, p + quad_offset)
+        rows = _divided_differences(p, tx, tz)
+        blocks[p] = (rows * w) @ rows.T
+    return blocks
+
+
+def _element_blocks(A, dm, s, quad_offset, sums, identical, limit):
     """Each element's own block, twice, scattered once per degree, for the
     elements whose first dof, twice, is at most limit: the identical pair
     T x T, S_n diag(weights) S_n^T for each point count n, and the
     near-endpoint block on the two boundary elements.
 
-    The identical pair is h^(1-2s) times one reference block per degree,
-    whose rows are the exact divided differences on the reference element;
-    they are symmetric in x and z, so the factor 2 also counts the triangle
-    z > x.  The weights are kappa h w at n = p + quad_offset, with the
-    distances to the endpoints in reference coordinates, (lo - a) + h t and
-    (b - hi) + h (1 - t), so they keep their relative accuracy on the small
-    elements at the boundary (the near-endpoint term of the two boundary
-    elements left to _endpoint_blocks), plus the self sums of the disjoint
-    pairs at their own point counts.
+    The identical pair is h^(1-2s) times the reference block identical[p]
+    of _identical_blocks, whose rows are the exact divided differences on
+    the reference element; they are symmetric in x and z, so the factor 2
+    also counts the triangle z > x.  The weights are kappa h w at
+    n = p + quad_offset, with the distances to the endpoints in reference
+    coordinates, (lo - a) + h t and (b - hi) + h (1 - t), so they keep their
+    relative accuracy on the small elements at the boundary (the
+    near-endpoint term of the two boundary elements left to
+    _endpoint_blocks), plus the self sums of the disjoint pairs at their
+    own point counts.
     """
     a, b = dm.lo[0], dm.hi[-1]
     two_s = 2.0 * s
@@ -349,9 +344,7 @@ def _element_blocks(A, dm, s, quad_offset, sums, limit):
     for p in sorted(set(dm.degrees[kept].tolist())):
         es = kept[dm.degrees[kept] == p]
         h, n = dm.h[es, None], p + quad_offset
-        tx, tz, w = _identical_scheme(s, n)
-        rows = _divided_differences(p, tx, tz)
-        blocks = h[:, :, None] ** (1.0 - two_s) * ((rows * w) @ rows.T)
+        blocks = h[:, :, None] ** (1.0 - two_s) * identical[p]
         t, w = _rule01(n)
         left = ((dm.lo[es, None] - a) + h * t) ** -two_s
         right = ((b - dm.hi[es, None]) + h * (1.0 - t)) ** -two_s
@@ -365,7 +358,7 @@ def _element_blocks(A, dm, s, quad_offset, sums, limit):
         for e, block in ends.items():
             if dm.degrees[e] == p:
                 blocks[es == e] += block
-        _scatter_upper(A, dm.dofs(es), _upper(2.0 * blocks))
+        _scatter_upper(A, dm.dofs(es), 2.0 * blocks)
 
 
 def _check_ascending(dm):
@@ -458,10 +451,11 @@ def assemble(dofmap, s, quad_offset=6):
     # a block is built when its first row and column dofs sum to at most
     # limit: on a mirror image, when it reaches an entry r + c <= N - 1
     limit = N - 1 if mirror else 2 * N
+    identical = _identical_blocks(dofmap, s, quad_offset)
     work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
     _adjacent_blocks(work, dofmap, s, quad_offset, limit)
     sums = _disjoint_blocks(work, dofmap, s, quad_offset, limit)
-    _element_blocks(work, dofmap, s, quad_offset, sums, limit)
+    _element_blocks(work, dofmap, s, quad_offset, sums, identical, limit)
     A = _symmetric_in_place(work, 0.5 * kernel_constant(s), mirror)
     return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)
 
@@ -472,7 +466,7 @@ def assemble_load(f, dofmap, quad_offset=6):
     f is called once per degree on a 1-D array of points.
     """
     quad_offset = _check_offset(quad_offset)
-    b = np.zeros(dofmap.n_dofs)
+    b = np.zeros(dofmap.n_dofs + 1)  # b[-1] takes the constrained dofs
     for p in sorted(set(dofmap.degrees.tolist())):
         es = np.flatnonzero(dofmap.degrees == p)
         n = p + quad_offset
@@ -485,6 +479,5 @@ def assemble_load(f, dofmap, quad_offset=6):
             raise ValueError(f"load function returned non-finite values on "
                              f"element {es[bad][0] + 1}")
         local = (w * dofmap.h[es, None] * fx) @ _gauss_shapes(p, n).T
-        g = dofmap.dofs(es)
-        np.add.at(b, g[g >= 0], local[g >= 0])
-    return b
+        np.add.at(b, dofmap.dofs(es), local)
+    return b[:-1]

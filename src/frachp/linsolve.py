@@ -1,7 +1,8 @@
 """Direct solution of the SPD Galerkin system by dense Cholesky.
 
 The factor is computed left-looking in blocks of _BLOCK columns, from the
-lower triangle of A alone, and kept as its block columns L[j:, j:j+_BLOCK]:
+lower triangle of A alone, and kept as its block columns L[j:, j:j+_BLOCK],
+each holding the inverse of its diagonal block in place of that block:
 about N^2 / 2 entries, so a solve holds A and half as much again.  The
 blocked forward and back substitutions walk the same block columns.
 
@@ -49,21 +50,22 @@ class Solution:
 
 def _cho_factor(A, half=None):
     """Lower Cholesky factor L of A, read from A's lower triangle only, as
-    its block columns L[j:, j:k], with the inverses of their diagonal
-    blocks; with half "even" or "odd", that of the even half E or the odd
-    half O of a persymmetric A (module docstring), read from both of A's
-    triangles.
+    the list of its block columns L[j:, j:k], each with the inverse of its
+    diagonal block written over that block; with half "even" or "odd",
+    that of the even half E or the odd half O of a persymmetric A (module
+    docstring), read from both of A's triangles.
 
     Left-looking: each block column of A is copied, takes the update of the
     block columns before it, its diagonal block is factored, and the panel
-    below is multiplied by the inverse of that block.  The block columns
-    hold the lower triangle alone, about half of an N x N array.  A block
-    column of a half is that of A plus or minus A's mirrored columns
-    n-k..n-j-1, reversed.
+    below is multiplied by the inverse of that block.  The updates read
+    only the panels below the diagonal blocks, so the inverse takes the
+    place of the diagonal block.  The block columns hold the lower triangle
+    alone, about half of an N x N array.  A block column of a half is that
+    of A plus or minus A's mirrored columns n-k..n-j-1, reversed.
     """
     n = A.shape[0]
     size = {None: n, "even": (n + 1) // 2, "odd": n // 2}[half]
-    panels, inverses = [], []
+    panels = []
     for j in range(0, size, _BLOCK):
         k = min(j + _BLOCK, size)
         P = np.array(A[j:size, j:k], dtype=float)
@@ -80,28 +82,27 @@ def _cho_factor(A, half=None):
             raise NotSPDError(
                 f"matrix is not positive definite: the Cholesky factor{of} "
                 f"fails in the diagonal block of rows {j}..{k - 1}") from None
-        P[:k - j] = diag
-        inverses.append(np.linalg.inv(diag))
-        P[k - j:] = P[k - j:] @ inverses[-1].T
+        P[:k - j] = np.linalg.inv(diag)
+        P[k - j:] = P[k - j:] @ P[:k - j].T
         panels.append(P)
-    return panels, inverses
+    return panels
 
 
 def _cho_solve(factor, b):
     """Solve L L^T c = b by blocked forward and back substitution, one
-    block column of L at a time."""
-    panels, inverses = factor
+    block column of L at a time, on the factor of _cho_factor: each block
+    column holds the inverse of its diagonal block in that block's place."""
     c = np.array(b, dtype=float)
     n = len(c)
-    for P, inv in zip(panels, inverses):
+    for P in factor:
         j = n - len(P)
-        k = j + len(inv)
-        c[j:k] = inv @ c[j:k]
+        k = j + P.shape[1]
+        c[j:k] = P[:k - j] @ c[j:k]
         c[k:] -= P[k - j:] @ c[j:k]
-    for P, inv in zip(reversed(panels), reversed(inverses)):
+    for P in reversed(factor):
         j = n - len(P)
-        k = j + len(inv)
-        c[j:k] = inv.T @ (c[j:k] - P[k - j:].T @ c[k:])
+        k = j + P.shape[1]
+        c[j:k] = P[:k - j].T @ (c[j:k] - P[k - j:].T @ c[k:])
     return c
 
 
