@@ -8,11 +8,14 @@ fallback for slowly converging (merely Hoelder) residual factors.  Inputs
 whose weighted integral diverges are detected when that stabilization
 fails, or when a value is not finite.
 
-Evaluation is batched: the integrand of a weighted integral is called on
-the nodes of several rules at once, the interpolated function once per
-degree, and the interior elements of one degree share one evaluation of
-the solution, its derivative and the shape tables.  Every function passed
-in is therefore called on 1-D arrays and must act element by element.
+The interpolation study evaluates one mirror half of the mesh, since the
+benchmark solution, the geometric mesh and the reduced degrees are mirror
+images, and writes the linear interpolant of the boundary element in
+closed form.  Evaluation is batched: the integrand of a weighted integral
+is called on the nodes of several rules at once, the interpolated function
+once per degree, and the interior elements share one evaluation of the
+solution, its derivative and the shape tables.  Every function passed in
+is therefore called on 1-D arrays and must act element by element.
 """
 
 from __future__ import annotations
@@ -227,30 +230,26 @@ def weighted_derivative_norms(s, p_max, epsilon):
     return DerivativeNormSequence(norms=norms, gamma_emp=max(gammas))
 
 
-def _boundary_error_sq(u, du, dofmap, coeffs, e, beta_p):
-    """Weighted error on a boundary element via the substitution r = t^2.
+def _boundary_error_sq(u, du, dofmap, coeffs, beta_p):
+    """Weighted error on the left boundary element (a, a + h) via the
+    substitution x = a + t^2.
 
-    In the t variable both weighted terms carry the common Jacobi exponent
-    4*beta_p - 1 after factoring one power of t out of the error (value
-    term) or into the derivative (derivative term); for s = 1/2 the residual
-    factors are analytic.
+    The reduced-rule interpolant there is linear and vanishes at a, so it
+    is slope (x - a) with slope = c_v / h, c_v the coefficient of the inner
+    vertex.  In the t variable both weighted terms carry the common Jacobi
+    exponent 4*beta_p - 1 after factoring one power of t out of the error
+    (value term) or into the derivative (derivative term); for s = 1/2 the
+    residual factors are analytic.
     """
-    lo, h, es = dofmap.lo[e], dofmap.h[e], np.array([e])
-    left = e == 0
-    endpoint = dofmap.mesh.a if left else dofmap.mesh.b
-    sign = 1.0 if left else -1.0
-
-    def err(t, derivative):
-        x = endpoint + sign * t * t
-        fem = _fem_values(dofmap, coeffs, es, ((x - lo) / h)[None],
-                          derivative)[0]
-        return (du if derivative else u)(x) - fem
+    a, h = dofmap.mesh.a, dofmap.h[0]
+    slope = coeffs[dofmap.table[0, 1]] / h
 
     def value_integrand(t):
-        return (err(t, False) / t) ** 2
+        x = a + t * t
+        return ((u(x) - slope * (x - a)) / t) ** 2
 
     def deriv_integrand(t):
-        return (t * err(t, True)) ** 2
+        return (t * (du(a + t * t) - slope)) ** 2
 
     expo = 4.0 * beta_p - 1.0
     total = _stabilized_integral(value_integrand, math.sqrt(h), expo)
@@ -278,9 +277,11 @@ def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
     """Error of the hp interpolant in the weighted H^1 norm with
     beta' = 1 - s - eps_prime, for the benchmark solution on (-1, 1).
 
-    The interior elements are batched per degree; the two boundary elements
-    take the substitution of _boundary_error_sq.  The element terms are
-    summed left to right.
+    The solution, the geometric mesh and the reduced degrees are mirror
+    images under x -> -x, so only the left half, elements 0..L, is
+    evaluated and its squared error doubled: the boundary element by the
+    substitution of _boundary_error_sq, the interior elements, all of
+    degree L, in one batch.
     """
     beta_p = 1.0 - s - eps_prime
     if not 0.0 < beta_p < 1.0:
@@ -295,18 +296,10 @@ def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
 
     dofmap = build_dof_map(mesh, DegreeRule.reduced(L))
     coeffs = build_hp_interpolant(u, dofmap)
-    last = mesh.n_elements - 1
-    terms = np.empty(mesh.n_elements)
-    for e in (0, last):
-        terms[e] = _boundary_error_sq(u, du, dofmap, coeffs, e, beta_p)
-    inner = dofmap.degrees[1:last]
-    for p in sorted(set(inner.tolist())):
-        es = 1 + np.flatnonzero(inner == p)
-        terms[es] = _interior_error_sq(u, du, dofmap, coeffs, es, beta_p)
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return math.sqrt(total)
+    interior = _interior_error_sq(u, du, dofmap, coeffs, np.arange(1, L + 1),
+                                  beta_p)
+    total = _boundary_error_sq(u, du, dofmap, coeffs, beta_p) + interior.sum()
+    return math.sqrt(2.0 * total)
 
 
 def interpolation_error_study(s, sigma, L_max, eps_prime=0.05):

@@ -17,21 +17,23 @@ i < j) with the schemes of the quadrature module, batched per pair class:
   whose rows are divided differences on the reference element, each taken
   exactly as the mean of the shapes' derivative along its segment, so no
   difference of nearby values is divided by their distance; these are
-  symmetric in x and z, so the block is twice that of the triangle z < x.
-  The reference blocks are built before the work array is allocated, so
-  the shape values on the segments are never live beside it;
+  symmetric in x and z, so the block is twice that of the triangle z < x;
 * adjacent pairs T_e x T_e+1: the points are distances from the shared
   vertex normalised per element, so one shape table serves each degree
   pair; a pair only contributes its weights in the angular Duffy variable,
-  applied to a table of angular slices;
+  applied to a table of angular slices.  These blocks and the identical
+  reference blocks are built before the work array is allocated, so the
+  shape values on the segments and the angular tables are never live
+  beside it;
 * disjoint pairs T_i x T_j, j >= i + 2: on the tensor Gauss-Legendre rule,
   with K = |x_a - z_b|^(-1-2s) and the Gauss weights w folded into the
   shape tables S, which depend on neither the element nor s and are cached
   across calls, the cross block is -2 h_i h_j (S_x w) K (S_z w)^T and the
   self terms are h_i h_j w K w and h_i h_j w K^T w.  Pairs are batched over
-  the whole mesh per degree pair (p_i, p_j) and point count n, in chunks of
-  a fixed number of kernel entries; each chunk scatters its cross blocks and
-  sums its self terms per element.
+  the whole mesh per degree pair (p_i, p_j) and point count n, whose points
+  and dof rows are computed once, in chunks of a fixed number of kernel
+  entries; each chunk scatters its cross blocks and sums its self terms per
+  element.
 
 Each element's own block is built in one pass per degree: the identical
 pair plus S_n diag(weights) S_n^T for each point count n, the weights being
@@ -151,6 +153,14 @@ def _scatter(A, flat, values):
     np.add.at(A.reshape(-1), flat.ravel(), values.ravel())
 
 
+def _add_rows(table, rows, values):
+    """table[rows[k]] += values[k] for k in order, a row index repeating
+    freely, through np.add.at's fast path on flat 1-D indices."""
+    n = table.shape[1]
+    flat = rows[:, None] * n + np.arange(n)
+    np.add.at(table.reshape(-1), flat.ravel(), values.ravel())
+
+
 @lru_cache(maxsize=None)
 def _triu(n, k=0):
     """np.triu_indices(n, k) as read-only arrays, kept across calls."""
@@ -194,9 +204,11 @@ def _adjacent_table(scheme, pi, pj):
     return (rows @ rows.swapaxes(-1, -2)).reshape(2 * n, m * m)
 
 
-def _adjacent_blocks(A, dm, s, quad_offset, limit):
+def _adjacent_blocks(dm, s, quad_offset, limit):
     """T_e x T_e+1, twice (for the mirrored pair), per degree pair, for
-    the pairs whose first dof, twice, is at most limit.
+    the pairs whose first dof, twice, is at most limit, as (dofs, blocks)
+    pairs for _scatter_upper.  Called before the work array is allocated,
+    so that the table and its temporaries are never live beside it.
 
     The weight of a point factors into a radial part wq / xi^2, held in the
     table, and a per-pair part h_x h_z wu ell^(-1-2s) in the angular
@@ -205,6 +217,7 @@ def _adjacent_blocks(A, dm, s, quad_offset, limit):
     """
     kept = np.flatnonzero(2 * dm.table[:-1, 0] <= limit)
     left, right = dm.degrees[kept], dm.degrees[kept + 1]
+    blocks = []
     for pi, pj in sorted(set(zip(left.tolist(), right.tolist()))):
         es = kept[(left == pi) & (right == pj)]
         n = max(pi, pj) + quad_offset
@@ -212,10 +225,11 @@ def _adjacent_blocks(A, dm, s, quad_offset, limit):
         hx, hz = dm.h[es, None], dm.h[es + 1, None]
         weights = 2.0 * hx[:, None] * hz[:, None] * wu * _adjacent_lengths(
             tu, hx, hz) ** (-1.0 - 2.0 * s)
-        blocks = weights.reshape(len(es), 2 * n) @ _adjacent_table(
+        pair = weights.reshape(len(es), 2 * n) @ _adjacent_table(
             _adjacent_scheme(s, n), pi, pj)
         g = np.concatenate((dm.dofs(es)[:, :pi], dm.dofs(es + 1)), axis=1)
-        _scatter_upper(A, g, blocks.reshape(len(es), pi + pj + 1, -1))
+        blocks.append((g, pair.reshape(len(es), pi + pj + 1, -1)))
+    return blocks
 
 
 def _disjoint_blocks(A, dm, s, quad_offset, limit):
@@ -249,25 +263,27 @@ def _disjoint_blocks(A, dm, s, quad_offset, limit):
         sxw, szw = _gauss_shapes(p, nq) * wt, _gauss_shapes(q, nq) * wt
         wx = sums.setdefault((p, nq), np.zeros((ne, nq)))
         wz = sums.setdefault((q, nq), np.zeros((ne, nq)))
+        ig, jg, fg = i[pairs], j[pairs], flip[pairs]
+        hh = dm.h[ig] * dm.h[jg]
+        x = dm.lo[ig, None] + dm.h[ig, None] * t
+        z = dm.lo[jg, None] + dm.h[jg, None] * t
+        rows = dm.dofs(ig)[:, :, None] * A.shape[1]
+        cols = dm.dofs(jg)[:, None, :]
         step = max(1, _CHUNK // nq ** 2)
         for c in range(0, len(pairs), step):
-            batch = pairs[c:c + step]
-            ix, jz, f = i[batch], j[batch], flip[batch]
-            hh = dm.h[ix] * dm.h[jz]
-            x = dm.lo[ix, None] + dm.h[ix, None] * t
-            z = dm.lo[jz, None] + dm.h[jz, None] * t
-            K = z[:, None, :] - x[:, :, None]
+            b = slice(c, c + step)
+            ix, jz, f = ig[b], jg[b], fg[b]
+            K = z[b, None, :] - x[b, :, None]
             np.power(K, -1.0 - 2.0 * s, out=K)
-            hw = hh[:, None] * wt
+            hw = hh[b, None] * wt
             sx, sz = hw * (K @ wt), hw * (wt @ K)
-            np.add.at(wx, np.concatenate((ix, ne - 1 - ix[f])),
+            _add_rows(wx, np.concatenate((ix, ne - 1 - ix[f])),
                       np.concatenate((sx, sx[f, ::-1])))
-            np.add.at(wz, np.concatenate((jz, ne - 1 - jz[f])),
+            _add_rows(wz, np.concatenate((jz, ne - 1 - jz[f])),
                       np.concatenate((sz, sz[f, ::-1])))
             cross = (sxw @ K) @ szw.T
-            cross *= -2.0 * hh[:, None, None]
-            flat = dm.dofs(ix)[:, :, None] * A.shape[1]
-            _scatter(A, flat + dm.dofs(jz)[:, None, :], cross)
+            cross *= -2.0 * hh[b, None, None]
+            _scatter(A, rows[b] + cols[b], cross)
     return sums
 
 
@@ -452,8 +468,10 @@ def assemble(dofmap, s, quad_offset=6):
     # limit: on a mirror image, when it reaches an entry r + c <= N - 1
     limit = N - 1 if mirror else 2 * N
     identical = _identical_blocks(dofmap, s, quad_offset)
+    adjacent = _adjacent_blocks(dofmap, s, quad_offset, limit)
     work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
-    _adjacent_blocks(work, dofmap, s, quad_offset, limit)
+    for g, blocks in adjacent:
+        _scatter_upper(work, g, blocks)
     sums = _disjoint_blocks(work, dofmap, s, quad_offset, limit)
     _element_blocks(work, dofmap, s, quad_offset, sums, identical, limit)
     A = _symmetric_in_place(work, 0.5 * kernel_constant(s), mirror)

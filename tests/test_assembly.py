@@ -532,12 +532,13 @@ def test_assembly_peak_memory_one_mirror_temporary():
         assert peak <= 2.5 * 8 * dm.n_dofs ** 2, L
 
 
-@pytest.mark.parametrize("quad_offset", [6, 14])
+@pytest.mark.parametrize("quad_offset", [6, 14, 20])
 def test_assembly_holds_one_matrix(quad_offset):
     # the work array becomes the result in place, so apart from it only
     # small batches and one tile row of the mirror are live; the shape
-    # values of the identical reference blocks, which grow with the offset,
-    # are freed before the work array is allocated
+    # values of the identical reference blocks and the adjacent tables,
+    # which grow with the offset, are freed before the work array is
+    # allocated
     mesh = build_geometric_mesh((-1, 1), 0.6, 24)
     dm = build_dof_map(mesh, DegreeRule.uniform(24))
     assemble(dm, 0.5, quad_offset)  # warm the shape-table caches

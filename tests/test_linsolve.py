@@ -280,4 +280,9 @@ def test_one_shot_solve_residual_and_energy(s, L):
         c += linalg.cho_solve(factor, (b_ld - A_ld @ c).astype(float))
     e_ld = float(b_ld @ c)
     eps = np.finfo(float).eps
+    # at s = 0.98 this reads 0.915 of the bound: eps |c|^T |A| |c| is 14.2
+    # times the bound, and the energy of the same c with b - A c taken in
+    # long double reads 0.000, so the gap is the rounding of the residual
+    # in double; other block sizes, scipy's cho_solve, LU or one refinement
+    # step drew 0.04-1.09 over s in {0.95, 0.98}, L in {12, 14, 16}
     assert abs(sol.energy - e_ld) <= 2.0 * dm.n_dofs * eps * exact_energy(s)
