@@ -10,17 +10,19 @@ fails, or when a value is not finite.
 
 The interpolation study evaluates one mirror half of the mesh, since the
 benchmark solution, the geometric mesh and the reduced degrees are mirror
-images, and writes the linear interpolant of the boundary element in
-closed form.  Evaluation is batched: the integrand of a weighted integral
-is called on the nodes of several rules at once, the interpolated function
-once per degree, and the interior elements share one evaluation of the
-solution, its derivative and the shape tables.  Every function passed in
-is therefore called on 1-D arrays and must act element by element.
+images.  It reads the reduced-rule interpolant off the mesh nodes: the
+values of u at the Gauss-Lobatto nodes of the interior elements, and the
+slope of the linear interpolant of the boundary element, in closed form.
+Evaluation is batched: the integrand of a weighted integral is called once,
+on one 1-D array holding the nodes of all six rules 32..1024, the
+interpolated function once per degree, and the interior elements share one
+evaluation of the solution, its derivative and the shape tables.  Every
+function passed in is therefore called on 1-D arrays and must act element
+by element.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .basis import DegreeRule, _fem_values, _lobatto_nodes01, build_dof_map
+from .basis import _element_values, _lobatto_nodes01
 from .geomesh import build_geometric_mesh
 from .postproc import exact_solution, solution_constant
 from .quadrature import _jacobi01, _rule01
@@ -45,19 +47,8 @@ class DivergentIntegralError(RuntimeError):
     """Raised when a weighted integral fails to stabilize under refinement."""
 
 
-def _rule_values(g, length, exponent, sizes):
-    """length^(exponent+1) w @ g(length t) on the weighted rule of each size,
-    with one call of g on the nodes of all of them."""
-    rules = [_jacobi01(n, exponent, 0.0) for n in sizes]
-    # a point that rounds onto the singularity gives a non-finite value,
-    # which the caller rejects; numpy's warning about it would only repeat it
-    with np.errstate(all="ignore"):
-        gx = np.asarray(g(length * np.concatenate([t for t, _ in rules])),
-                        dtype=float)
-    scale = length ** (exponent + 1.0)
-    ends = itertools.accumulate(sizes)
-    return [scale * float(w @ gx[k - len(w):k])
-            for (_, w), k in zip(rules, ends)]
+# the point counts of the doubling
+_SIZES = (32, 64, 128, 256, 512, 1024)
 
 
 def _stabilized_integral(g, length, exponent):
@@ -65,27 +56,32 @@ def _stabilized_integral(g, length, exponent):
 
     Gauss-Jacobi with the weight factored out; doubles the point count from
     32 up to 1024 until two successive values agree to 1e-9 relative.  g is
-    called on 1-D arrays of points and must act element by element: once on
-    the nodes of the 32- and 64-point rules, and only if those two values
-    disagree once more on the nodes of the 128- to 1024-point rules.  Slow
+    called once, on a 1-D array holding the nodes of all six rules, and
+    must act element by element; the doubling then reads its slices.  Slow
     but settling sequences get a single Aitken step; growing ones, and a
     non-finite value, raise DivergentIntegralError.
     """
     if exponent <= -1.0:
         raise DivergentIntegralError(
             f"weight exponent {exponent} is not integrable")
+    rules = [_jacobi01(n, exponent, 0.0) for n in _SIZES]
+    # a point that rounds onto the singularity gives a non-finite value,
+    # which is rejected below; numpy's warning about it would only repeat it
+    with np.errstate(all="ignore"):
+        gx = np.asarray(g(length * np.concatenate([t for t, _ in rules])),
+                        dtype=float)
+    scale = length ** (exponent + 1.0)
     rtol = 1e-9
     vals = []
-    for sizes in ((32, 64), (128, 256, 512, 1024)):
-        for n, v in zip(sizes, _rule_values(g, length, exponent, sizes)):
-            if not math.isfinite(v):
-                raise DivergentIntegralError(
-                    f"weighted integral did not stabilize (value {v} on "
-                    f"{n} points); the integrand is not finite there")
-            vals.append(v)
-            if len(vals) >= 2 and abs(v - vals[-2]) <= rtol * max(abs(v),
-                                                                   1e-300):
-                return v
+    for n, (_, w), end in zip(_SIZES, rules, np.cumsum(_SIZES)):
+        v = scale * float(w @ gx[end - n:end])
+        if not math.isfinite(v):
+            raise DivergentIntegralError(
+                f"weighted integral did not stabilize (value {v} on "
+                f"{n} points); the integrand is not finite there")
+        vals.append(v)
+        if len(vals) >= 2 and abs(v - vals[-2]) <= rtol * max(abs(v), 1e-300):
+            return v
     d1 = abs(vals[-2] - vals[-3])
     d2 = abs(vals[-1] - vals[-2])
     if d1 > 0.0 and d2 < 0.9 * d1:
@@ -230,20 +226,17 @@ def weighted_derivative_norms(s, p_max, epsilon):
     return DerivativeNormSequence(norms=norms, gamma_emp=max(gammas))
 
 
-def _boundary_error_sq(u, du, dofmap, coeffs, beta_p):
+def _boundary_error_sq(u, du, a, h, slope, beta_p):
     """Weighted error on the left boundary element (a, a + h) via the
     substitution x = a + t^2.
 
     The reduced-rule interpolant there is linear and vanishes at a, so it
-    is slope (x - a) with slope = c_v / h, c_v the coefficient of the inner
-    vertex.  In the t variable both weighted terms carry the common Jacobi
-    exponent 4*beta_p - 1 after factoring one power of t out of the error
-    (value term) or into the derivative (derivative term); for s = 1/2 the
+    is slope (x - a), slope being u at the inner vertex over h.  In the t
+    variable both weighted terms carry the common Jacobi exponent
+    4*beta_p - 1 after factoring one power of t out of the error (value
+    term) or into the derivative (derivative term); for s = 1/2 the
     residual factors are analytic.
     """
-    a, h = dofmap.mesh.a, dofmap.h[0]
-    slope = coeffs[dofmap.table[0, 1]] / h
-
     def value_integrand(t):
         x = a + t * t
         return ((u(x) - slope * (x - a)) / t) ** 2
@@ -257,20 +250,20 @@ def _boundary_error_sq(u, du, dofmap, coeffs, beta_p):
     return 2.0 * total
 
 
-def _interior_error_sq(u, du, dofmap, coeffs, es, beta_p):
+def _interior_error_sq(u, du, lo, h, values, beta_p):
     """h w @ (r^(2 beta_p) e'^2 + r^(2 beta_p - 2) e^2) with r = 1 - |x| on
-    the p + 24 Gauss points of each of the interior elements es, which
-    share the degree p; one evaluation of u, du and each shape table serves
-    the whole batch."""
-    t, w = _rule01(int(dofmap.degrees[es[0]]) + 24)
-    x = dofmap.lo[es, None] + dofmap.h[es, None] * t
-    ev = u(x.ravel()).reshape(x.shape) - _fem_values(dofmap, coeffs, es,
-                                                     t[None])
-    ed = du(x.ravel()).reshape(x.shape) - _fem_values(dofmap, coeffs, es,
-                                                      t[None], True)
+    the p + 24 Gauss points of each element (lo, lo + h), whose
+    interpolant has the nodal values values[k] on the p + 1 Gauss-Lobatto
+    nodes; one evaluation of u, du and each shape table serves the whole
+    batch."""
+    t, w = _rule01(values.shape[1] + 23)
+    x = lo[:, None] + h[:, None] * t
+    ev = u(x.ravel()).reshape(x.shape) - _element_values(values, h, t[None])
+    ed = du(x.ravel()).reshape(x.shape) - _element_values(values, h, t[None],
+                                                          True)
     r = 1.0 - np.abs(x)
     f = r ** (2.0 * beta_p) * ed ** 2 + r ** (2.0 * beta_p - 2.0) * ev ** 2
-    return dofmap.h[es] * (f @ w)
+    return h * (f @ w)
 
 
 def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
@@ -281,12 +274,15 @@ def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
     images under x -> -x, so only the left half, elements 0..L, is
     evaluated and its squared error doubled: the boundary element by the
     substitution of _boundary_error_sq, the interior elements, all of
-    degree L, in one batch.
+    degree L, in one batch.  The interpolant is read off the mesh nodes:
+    u at the Gauss-Lobatto nodes of elements 1..L + 1 without their right
+    vertex, whose value is the left-vertex value of the next element, as
+    build_hp_interpolant assigns it.
     """
     beta_p = 1.0 - s - eps_prime
     if not 0.0 < beta_p < 1.0:
         raise ValueError(f"beta' = 1 - s - eps_prime = {beta_p} out of (0, 1)")
-    mesh = build_geometric_mesh((-1.0, 1.0), sigma, L)
+    nodes = build_geometric_mesh((-1.0, 1.0), sigma, L).nodes
     u = exact_solution(s)
     c = solution_constant(s)
 
@@ -294,12 +290,14 @@ def interpolant_weighted_error(s, sigma, L, eps_prime=0.05):
         x = np.asarray(x, dtype=float)
         return -2.0 * s * c * x * (1.0 - x * x) ** (s - 1.0)
 
-    dofmap = build_dof_map(mesh, DegreeRule.reduced(L))
-    coeffs = build_hp_interpolant(u, dofmap)
-    interior = _interior_error_sq(u, du, dofmap, coeffs, np.arange(1, L + 1),
+    h = np.diff(nodes[:L + 3])  # elements 0..L + 1
+    x = nodes[1:L + 2, None] + h[1:, None] * _lobatto_nodes01(L)[0][:-1]
+    ux = u(x.ravel()).reshape(x.shape)
+    values = np.concatenate((ux[:-1], ux[1:, :1]), axis=1)
+    interior = _interior_error_sq(u, du, nodes[1:L + 1], h[1:-1], values,
                                   beta_p)
-    total = _boundary_error_sq(u, du, dofmap, coeffs, beta_p) + interior.sum()
-    return math.sqrt(2.0 * total)
+    return math.sqrt(2.0 * (interior.sum() + _boundary_error_sq(
+        u, du, nodes[0], h[0], ux[0, 0] / h[0], beta_p)))
 
 
 def interpolation_error_study(s, sigma, L_max, eps_prime=0.05):

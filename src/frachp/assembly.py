@@ -241,11 +241,12 @@ def _disjoint_blocks(A, dm, s, quad_offset, limit):
     into h_i h_j times S_x diag(w K w) S_x^T, -(S_x w) K (S_z w)^T (and its
     transpose) and S_z diag(w K^T w) S_z^T.  The cross blocks lie in the
     upper triangle and are scattered once per chunk; the self terms are
-    summed per element and returned as the weights w K w and w K^T w, a
-    {(p, n): (elements, n)} table, zero on the elements of other degrees,
-    for _element_blocks.  On a mirror image (see assemble) a pair whose
-    mirror pair (ne-1-j, ne-1-i) is skipped also adds its self weights,
-    reversed, to the mirror elements ne-1-i and ne-1-j, which are theirs.
+    summed per element and returned as the weights w K w and w K^T w, one
+    {n: (elements, n)} table per point count, for _element_blocks (an
+    element has one degree, so its row serves its own shapes).  On a mirror
+    image (see assemble) a pair whose mirror pair (ne-1-j, ne-1-i) is
+    skipped also adds its self weights, reversed, to the mirror elements
+    ne-1-i and ne-1-j, which are theirs.
     """
     ne = len(dm.h)
     first = dm.table[:, 0]
@@ -261,8 +262,7 @@ def _disjoint_blocks(A, dm, s, quad_offset, limit):
         pairs = np.flatnonzero((pi == p) & (pj == q) & (n == nq))
         t, wt = _rule01(nq)
         sxw, szw = _gauss_shapes(p, nq) * wt, _gauss_shapes(q, nq) * wt
-        wx = sums.setdefault((p, nq), np.zeros((ne, nq)))
-        wz = sums.setdefault((q, nq), np.zeros((ne, nq)))
+        weights = sums.setdefault(nq, np.zeros((ne, nq)))
         ig, jg, fg = i[pairs], j[pairs], flip[pairs]
         hh = dm.h[ig] * dm.h[jg]
         x = dm.lo[ig, None] + dm.h[ig, None] * t
@@ -277,10 +277,9 @@ def _disjoint_blocks(A, dm, s, quad_offset, limit):
             np.power(K, -1.0 - 2.0 * s, out=K)
             hw = hh[b, None] * wt
             sx, sz = hw * (K @ wt), hw * (wt @ K)
-            _add_rows(wx, np.concatenate((ix, ne - 1 - ix[f])),
-                      np.concatenate((sx, sx[f, ::-1])))
-            _add_rows(wz, np.concatenate((jz, ne - 1 - jz[f])),
-                      np.concatenate((sz, sz[f, ::-1])))
+            _add_rows(weights,
+                      np.concatenate((ix, ne - 1 - ix[f], jz, ne - 1 - jz[f])),
+                      np.concatenate((sx, sx[f, ::-1], sz, sz[f, ::-1])))
             cross = (sxw @ K) @ szw.T
             cross *= -2.0 * hh[b, None, None]
             _scatter(A, rows[b] + cols[b], cross)
@@ -366,7 +365,7 @@ def _element_blocks(A, dm, s, quad_offset, sums, identical, limit):
         right = ((b - dm.hi[es, None]) + h * (1.0 - t)) ** -two_s
         left[es == 0] = 0.0
         right[es == last] = 0.0
-        weights = {m: table[es] for (q, m), table in sums.items() if q == p}
+        weights = {m: table[es] for m, table in sums.items()}
         weights[n] = weights.get(n, 0.0) + w * h * (left + right) / two_s
         for m, wm in weights.items():
             sx = _gauss_shapes(p, m)

@@ -214,17 +214,15 @@ def build_dof_map(mesh, rule):
                   lo=mesh.nodes[:-1], hi=mesh.nodes[1:], h=h)
 
 
-def _fem_values(dofmap, coeffs, es, t, derivative=False):
-    """The FEM function with coefficients coeffs, or its derivative in x,
-    at the reference points t[k, :] of element es[k]; the elements share
-    one degree, and a single row of t serves them all.  One coefficient
-    gather per element, one batched product; shape (len(es), t.shape[1])."""
-    g = dofmap.dofs(es)
-    p = g.shape[1] - 1
-    values = np.where(g >= 0, coeffs[g], 0.0)
+def _element_values(values, h, t, derivative=False):
+    """The polynomial of nodal values values[k] on the Gauss-Lobatto nodes
+    of element k, of length h[k], or its derivative in x, at the reference
+    points t[k, :]; a single row of t serves all elements.  One batched
+    product; shape (len(values), t.shape[1])."""
+    p = values.shape[1] - 1
     if derivative:
         # the nodal values of the derivative, of degree p - 1: exact
-        values = values @ _diff_matrix(p).T / dofmap.h[es, None]
+        values = values @ _diff_matrix(p).T / h[:, None]
     table = _shape_matrix(p, t.ravel()).reshape(p + 1, *t.shape)
     return (values[:, None, :] @ table.swapaxes(0, 1))[:, 0]
 
@@ -236,6 +234,7 @@ def _eval(dofmap, coeffs, x, derivative):
     if coeffs.shape != (dofmap.n_dofs,):
         raise ValueError(f"coefficient vector must have length {dofmap.n_dofs}, "
                          f"got shape {coeffs.shape}")
+    coeffs = np.append(coeffs, 0.0)  # index -1, a constrained dof, reads 0
     x = np.asarray(x, dtype=float)
     xs = x.ravel()
     es = element_of(dofmap.mesh, xs) - 1
@@ -245,7 +244,8 @@ def _eval(dofmap, coeffs, x, derivative):
         at = degrees == p
         e = es[at]
         t = (xs[at] - dofmap.lo[e]) / dofmap.h[e]
-        out[at] = _fem_values(dofmap, coeffs, e, t[:, None], derivative)[:, 0]
+        out[at] = _element_values(coeffs[dofmap.dofs(e)], dofmap.h[e],
+                                  t[:, None], derivative)[:, 0]
     return out.reshape(x.shape)[()]
 
 

@@ -66,19 +66,10 @@ def build_geometric_mesh(domain, sigma, layers):
         raise ValueError(f"layer count must be nonnegative, got {layers}")
 
     # powers sigma^k by repeated multiplication, boundary inward
-    powers = np.empty(layers + 1)
-    powers[0] = 1.0
-    for k in range(1, layers + 1):
-        powers[k] = powers[k - 1] * sigma
-
+    powers = np.cumprod(np.concatenate(([1.0], np.full(layers, sigma))))
     half = 0.5 * (b - a)
-    nodes = np.empty(2 * layers + 3)
-    nodes[0] = a
-    for i in range(1, layers + 1):
-        nodes[i] = a + half * powers[layers - i + 1]
-    for m in range(layers + 1):
-        nodes[layers + 1 + m] = b - half * powers[m]
-    nodes[2 * layers + 2] = b
+    nodes = np.concatenate(([a], a + half * powers[:0:-1], b - half * powers,
+                            [b]))
     if not (nodes[1:] > nodes[:-1]).all():
         raise ValueError(f"sigma={sigma} with L={layers} layers puts two mesh "
                          "nodes on one double: half * sigma^L is below the "

@@ -75,8 +75,12 @@ def energy_error(system, sol, s):
     gap a(u,u) - a(u_N,u_N) is nonnegative up to roundoff, ~N eps a(u,u)
     with N = system.n; within that margin a negative gap reads as a zero
     error.  A gap below -N eps a(u,u) is a quadrature or assembly defect
-    and raises EnergyGapError.
+    and raises EnergyGapError.  An s other than system.s raises ValueError:
+    the gap would be taken against the exact energy of another problem.
     """
+    if float(s) != system.s:
+        raise ValueError(f"s = {s} differs from the s = {system.s} the "
+                         "system was assembled at")
     exact = exact_energy(s)
     gap = exact - sol.energy
     if gap < -system.n * np.finfo(float).eps * exact:

@@ -7,9 +7,10 @@ fully adaptive.  Nothing here shares an evaluation path with the package's
 product quadrature schemes.  Small helpers shared by several test files
 close the module: the complement weight kappa in closed form, a degree rule
 with no two neighbouring elements of one degree, the dof permutation of the
-reflection x -> a + b - x, and two evaluators on the package's own nodes
-and shapes: the Gauss-Lobatto interpolant on one interval and the
-derivative of a FEM function.
+reflection x -> a + b - x, two evaluators on the package's own nodes and
+shapes: the Gauss-Lobatto interpolant on one interval and the derivative
+of a FEM function, and the mass and stiffness matrices of -u'' on a dof
+map, the limits of the fractional stiffness matrix as s -> 0 and s -> 1.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from numpy.polynomial import Polynomial as Poly
 from scipy import integrate
 
 from frachp import kernel_constant
-from frachp.basis import _eval, _shape_matrix, gauss_lobatto_nodes
+from frachp.basis import (_diff_matrix, _eval, _shape_matrix,
+                          gauss_lobatto_nodes)
 from frachp.quadrature import _check_s
 
 
@@ -228,3 +230,26 @@ def eval_fem_derivative(dofmap, coeffs, x):
     """Derivative of the FEM function at x (one-sided at mesh nodes, from
     the element on the right)."""
     return _eval(dofmap, coeffs, x, derivative=True)
+
+
+def mass_and_laplacian_stiffness(dofmap):
+    """(M, K) with M[k, l] = int phi_k phi_l and K[k, l] = int phi_k' phi_l',
+    the Galerkin matrices of the identity and of -u'' on dofmap.  C(s)
+    normalises the fractional Laplacian so that it tends to the identity
+    as s -> 0 and to -u'' as s -> 1 (Di Nezza, Palatucci & Valdinoci,
+    Bull. Sci. Math. 136, 2012, section 4), and so does the stiffness
+    matrix, at first order in the distance to the limit.  Element by
+    element on numpy's (p + 1)-point Gauss-Legendre rule, exact for both
+    products; the shape derivatives are D^T S, the nodal derivatives."""
+    N = dofmap.n_dofs
+    # row and column N, reached by the index -1, take the constrained dofs
+    M, K = np.zeros((N + 1, N + 1)), np.zeros((N + 1, N + 1))
+    for e, (h, p) in enumerate(zip(dofmap.h, dofmap.degrees.tolist())):
+        x, w = np.polynomial.legendre.leggauss(p + 1)
+        t, w = 0.5 * (x + 1.0), 0.5 * w
+        S = _shape_matrix(p, t)
+        dS = _diff_matrix(p).T @ S
+        g = np.ix_(dofmap.table[e, :p + 1], dofmap.table[e, :p + 1])
+        M[g] += h * (S * w) @ S.T
+        K[g] += (dS * w) @ dS.T / h
+    return M[:N, :N], K[:N, :N]

@@ -15,6 +15,7 @@ from frachp.assembly import _endpoint_blocks
 from frachp.basis import _shape_matrix, gauss_lobatto_nodes
 from frachp.quadrature import _rule01
 from oracles import (MixedDegrees, complement_weight, lagrange_polys,
+                     mass_and_laplacian_stiffness,
                      oracle_stiffness, reflection_permutation)
 from pair_reference import pair_quadrature
 
@@ -299,6 +300,53 @@ def test_continuity_in_s_literal_bound():
     for s1, s2 in ((0.49, 0.50), (0.50, 0.51)):
         rel = np.abs(A[s2] - A[s1]) / np.abs(A[0.50])
         assert rel.max() <= 0.05
+
+
+def limit_slope_gaps(dm):
+    """max|D(1e-5) - D(1e-6)| / max|D(1e-6)| for the slopes
+    D(d) = (A(d) - M) / d at s -> 0 and D(d) = (A(1 - d) - K) / d at
+    s -> 1: small only if A tends to M and to K, and at first order."""
+    M, K = mass_and_laplacian_stiffness(dm)
+    gaps = []
+    for s_at, limit in ((lambda d: d, M), (lambda d: 1.0 - d, K)):
+        d5, d6 = ((assemble(dm, s_at(d)).stiffness - limit) / d
+                  for d in (1e-5, 1e-6))
+        gaps.append(np.abs(d5 - d6).max() / np.abs(d6).max())
+    return gaps
+
+
+LIMIT_MAPS = [(kind, L) for kind in ("uniform", "reduced") for L in (1, 3, 6)]
+
+
+@pytest.mark.parametrize("kind, L", LIMIT_MAPS)
+def test_stiffness_tends_to_mass_and_laplacian_at_first_order(kind, L):
+    # the slopes agree to at most 6.6e-5 on these maps (uniform, L = 6,
+    # s -> 1); at d = 1e-4 against 1e-5 they would read up to 6.6e-4
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
+                       DegreeRule(kind, L))
+    at_zero, at_one = limit_slope_gaps(dm)
+    assert at_zero <= 1e-3 and at_one <= 1e-3, (at_zero, at_one)
+
+
+@pytest.mark.parametrize("defect", ["kernel_constant", "endpoint_blocks"])
+def test_limit_slopes_see_assembly_defects(monkeypatch, defect):
+    # negative controls: C(s) off by 1% moves A by 1% of its limit at both
+    # ends; without the near-endpoint complement blocks A misses M as
+    # s -> 0 (the term vanishes to first order as s -> 1)
+    if defect == "kernel_constant":
+        kernel_constant = assembly_mod.kernel_constant
+        monkeypatch.setattr(assembly_mod, "kernel_constant",
+                            lambda s: 1.01 * kernel_constant(s))
+    else:
+        monkeypatch.setattr(assembly_mod, "_endpoint_blocks",
+                            lambda dm, s, quad_offset: iter(()))
+    for kind, L in LIMIT_MAPS:
+        dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
+                           DegreeRule(kind, L))
+        at_zero, at_one = limit_slope_gaps(dm)
+        assert at_zero > 0.5, (kind, L, at_zero)
+        if defect == "kernel_constant":
+            assert at_one > 0.5, (kind, L, at_one)
 
 
 def test_load_vector_hat():

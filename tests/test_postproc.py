@@ -6,9 +6,10 @@ import pytest
 from scipy import integrate
 
 import frachp.postproc
-from frachp import (DegreeRule, convergence_study, energy_error, exact_energy,
-                    exact_solution, records_to_csv, solve_problem)
-from frachp.linsolve import Solution
+from frachp import (DegreeRule, build_hp_interpolant, convergence_study,
+                    energy_error, exact_energy, exact_solution,
+                    records_to_csv, solve_problem)
+from frachp.linsolve import Solution, cholesky_solve
 from frachp.postproc import CSV_HEADER, EnergyGapError, solve_record
 from oracles import reflection_permutation
 
@@ -60,6 +61,57 @@ def test_energy_gap_beyond_roundoff_raises():
     eps = np.finfo(float).eps
     assert energy_error(system, replace(sol, energy=exact * (1 + eps)),
                         0.5) == 0.0
+
+
+def test_energy_error_rejects_another_s():
+    _, _, system, sol = solve_problem(0.5, 0.6, 2, DegreeRule.uniform(2))
+    with pytest.raises(ValueError, match=r"s = 0\.3 .* s = 0\.5"):
+        energy_error(system, sol, 0.3)
+    # the same s in another numeric type is the same problem
+    assert energy_error(system, sol, np.float64(0.5)) == energy_error(
+        system, sol, 0.5)
+
+
+def cea_violations(kind, s):
+    """The L in (1, 2, 4, 6, 8, 10) where the energy error of the solve
+    exceeds that of the hp interpolant I u beyond roundoff.  For f = 1,
+    a(u, v) = int v = b^T c_v, so ||u - I u||_a^2 = a(u,u) - 2 b^T c_I +
+    c_I^T A c_I from A and b alone."""
+    eps = np.finfo(float).eps
+    exact = exact_energy(s)
+    bad = []
+    for L in (1, 2, 4, 6, 8, 10):
+        _, dm, system, sol = solve_problem(s, 0.6, L, DegreeRule(kind, L))
+        c = build_hp_interpolant(exact_solution(s), dm)
+        interp_sq = exact - 2.0 * system.load @ c + c @ system.stiffness @ c
+        if energy_error(system, sol, s) ** 2 > (interp_sq
+                                                + system.n * eps * exact):
+            bad.append(L)
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["uniform", "reduced"])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_galerkin_beats_hp_interpolant(kind, s):
+    # Cea: u_N minimises the energy error over V_N, which holds I u.  The
+    # error ratio reads 0.939..0.995 here, and the squared gap is at least
+    # 1.8e7 N eps a(u,u), so the slack covers roundoff only.  The gap is
+    # ||c_I - A^-1 b||_A^2 for any SPD A: this checks the solve, not the
+    # entries of A.
+    assert cea_violations(kind, s) == []
+
+
+def test_cea_check_sees_a_solve_off_the_galerkin_solution(monkeypatch):
+    # negative control: a solve that returns 1.1 c_N, with its energy
+    # 2 b^T c - c^T A c, is worse than the interpolant at every L
+    def off_solve(system):
+        sol = cholesky_solve(system)
+        c = 1.1 * sol.coeffs
+        return replace(sol, coeffs=c, energy=float(
+            2.0 * c @ system.load - c @ system.stiffness @ c))
+
+    monkeypatch.setattr(frachp.postproc, "cholesky_solve", off_solve)
+    assert cea_violations("uniform", 0.5) == [1, 2, 4, 6, 8, 10]
 
 
 def test_solve_record_names_energy_gap_failure(monkeypatch):
