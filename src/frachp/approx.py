@@ -306,6 +306,8 @@ def interpolation_error_study(s, sigma, L_max, eps_prime=0.05):
 
     A DivergentIntegralError is raised again naming the failing (s, L).
     """
+    if L_max < 1:
+        raise ValueError(f"L_max must be >= 1, got {L_max}")
     rows = []
     for L in range(1, operator.index(L_max) + 1):
         try:

@@ -39,9 +39,13 @@ Each element's own block is built in one pass per degree: the identical
 pair plus S_n diag(weights) S_n^T for each point count n, the weights being
 kappa h w at the p + quad_offset Gauss points and the self sums of the
 disjoint pairs.  The near-endpoint part of kappa on the two boundary
-elements has a block of its own, its singularity removed by factoring the
-first-order zero of the basis functions, leaving one Gauss-Jacobi weight
-r^(2-2s) for both ends.
+elements is built like the identical pair: h^(1-2s) times one reference
+block per boundary degree, whose rows are the exact divided differences of
+the shapes against the endpoint, (S(r) - S(0)) / r, on the Gauss-Jacobi
+weight r^(2-2s), divided by 2s; the right end takes it with its rows and
+columns reversed.  Every singular element-local term is thus h^(1-2s)
+times a per-degree Gram matrix of exact divided differences, built with
+the identical reference blocks before the work array.
 
 Blocks are added with np.add.at on flat indices into an (N+1) x (N+1) work
 array, whose spare row and column N take the constrained endpoint dofs.
@@ -106,12 +110,14 @@ def kernel_constant(s):
     """C(s) = -2^(2s) Gamma(s+1/2) / (sqrt(pi) Gamma(-s)) > 0.
 
     Evaluated through log-Gamma with the reflection formula
-    Gamma(-s) = -pi / (sin(pi s) Gamma(1+s)).
+    Gamma(-s) = -pi / (sin(pi s) Gamma(1+s)), and sin(pi s) as
+    sin(pi (1 - s)) for s > 1/2: 1 - s is exact there, while pi s rounds
+    near pi, where the sine cancels (1e-7 relative at s = 1 - 1e-9).
     """
-    _check_s(s)
-    s = float(s)
+    s = _check_s(s)
     log_c = 2.0 * s * math.log(2.0) + math.lgamma(s + 0.5) + math.lgamma(1.0 + s)
-    return math.exp(log_c) * math.sin(math.pi * s) / math.pi ** 1.5
+    sine = math.sin(math.pi * min(s, 1.0 - s))
+    return math.exp(log_c) * sine / math.pi ** 1.5
 
 
 def _check_offset(quad_offset):
@@ -286,27 +292,6 @@ def _disjoint_blocks(A, dm, s, quad_offset, limit):
     return sums
 
 
-def _endpoint_blocks(dm, s, quad_offset):
-    """int_T phi_k phi_l (dist to the near endpoint)^(-2s) / (2s) on the two
-    boundary elements, as (element, block) pairs.
-
-    The first-order zero of the active shapes is factored out and r^(2-2s),
-    r being the distance to the near endpoint over h, is absorbed into one
-    Gauss-Jacobi rule for both ends; the right end sees its shapes at the
-    mirrored points 1 - r, where they are those at r reversed, so its block
-    is the one at r with its rows and columns reversed.
-    """
-    two_s = 2.0 * s
-    for e in (0, len(dm.h) - 1):
-        p = int(dm.degrees[e])
-        r, wj = _jacobi01(p + quad_offset, 2.0 - two_s, 0.0)
-        ratios = _shape_matrix(p, r)
-        ratios /= r
-        weights = wj * dm.h[e] ** (1.0 - two_s) / two_s
-        block = (ratios * weights) @ ratios.T
-        yield e, block if e == 0 else block[::-1, ::-1]
-
-
 def _divided_differences(p, tx, tz):
     """Rows (S(tx) - S(tz)) / (tx - tz) of the degree-p shapes S on the
     reference element (0, 1), taken exactly as the mean of S' over
@@ -320,41 +305,50 @@ def _divided_differences(p, tx, tz):
     return _diff_matrix(p).T @ mean
 
 
-def _identical_blocks(dm, s, quad_offset):
-    """The reference block of the identical pair for each degree p of dm,
-    on the (p + quad_offset)-point scheme: the divided-difference rows r
-    weighted on the triangle z < x, sum_q w_q r_k r_l.  Called before the
-    work array is allocated, so that the shape values of the segment rule
-    are never live beside it."""
-    blocks = {}
+def _reference_blocks(dm, s, quad_offset):
+    """The reference blocks sum_q w_q r_k r_l of the exact divided-difference
+    rows r on (0, 1), on (p + quad_offset)-point rules: identical[p] for
+    each degree p of dm, with r against tz on the triangle z < x of the
+    identical scheme, and endpoint[p] for the degree of each boundary
+    element, with r against the endpoint 0 under the Gauss-Jacobi weight
+    r^(2-2s), divided by 2s.  Called before the work array is allocated, so
+    that the shape values of the segment rule are never live beside it."""
+    identical, endpoint = {}, {}
     for p in set(dm.degrees.tolist()):
         tx, tz, w = _identical_scheme(s, p + quad_offset)
         rows = _divided_differences(p, tx, tz)
-        blocks[p] = (rows * w) @ rows.T
-    return blocks
+        identical[p] = (rows * w) @ rows.T
+    for p in {int(dm.degrees[0]), int(dm.degrees[-1])}:
+        r, w = _jacobi01(p + quad_offset, 2.0 - 2.0 * s, 0.0)
+        rows = _divided_differences(p, r, 0.0)
+        endpoint[p] = (rows * w) @ rows.T / (2.0 * s)
+    return identical, endpoint
 
 
-def _element_blocks(A, dm, s, quad_offset, sums, identical, limit):
+def _element_blocks(A, dm, s, quad_offset, sums, reference, limit):
     """Each element's own block, twice, scattered once per degree, for the
     elements whose first dof, twice, is at most limit: the identical pair
     T x T, S_n diag(weights) S_n^T for each point count n, and the
-    near-endpoint block on the two boundary elements.
+    near-endpoint term of kappa on the two boundary elements.
 
-    The identical pair is h^(1-2s) times the reference block identical[p]
-    of _identical_blocks, whose rows are the exact divided differences on
-    the reference element; they are symmetric in x and z, so the factor 2
-    also counts the triangle z > x.  The weights are kappa h w at
-    n = p + quad_offset, with the distances to the endpoints in reference
-    coordinates, (lo - a) + h t and (b - hi) + h (1 - t), so they keep their
-    relative accuracy on the small elements at the boundary (the
-    near-endpoint term of the two boundary elements left to
-    _endpoint_blocks), plus the self sums of the disjoint pairs at their
+    The singular terms are h^(1-2s) times the reference blocks
+    (identical, endpoint) of _reference_blocks, whose rows are exact
+    divided differences on the reference element.  Those of the identical
+    pair are symmetric in x and z, so the factor 2 also counts the triangle
+    z > x.  The near-endpoint block is endpoint[p] on element 0 and, as
+    the last element sees its shapes at the mirrored points 1 - r, where
+    they are those at r reversed, endpoint[p][::-1, ::-1] on the last.  The
+    weights are kappa h w at n = p + quad_offset, with the distances to the
+    endpoints in reference coordinates, (lo - a) + h t and
+    (b - hi) + h (1 - t), so they keep their relative accuracy on the small
+    elements at the boundary (without the near-endpoint term of the two
+    boundary elements), plus the self sums of the disjoint pairs at their
     own point counts.
     """
     a, b = dm.lo[0], dm.hi[-1]
     two_s = 2.0 * s
     last = len(dm.h) - 1
-    ends = dict(_endpoint_blocks(dm, s, quad_offset))
+    identical, endpoint = reference
     kept = np.flatnonzero(2 * dm.table[:, 0] <= limit)
     for p in sorted(set(dm.degrees[kept].tolist())):
         es = kept[dm.degrees[kept] == p]
@@ -370,9 +364,10 @@ def _element_blocks(A, dm, s, quad_offset, sums, identical, limit):
         for m, wm in weights.items():
             sx = _gauss_shapes(p, m)
             blocks += (sx * wm[:, None, :]) @ sx.T
-        for e, block in ends.items():
-            if dm.degrees[e] == p:
-                blocks[es == e] += block
+        if es[0] == 0:
+            blocks[0] += h[0, 0] ** (1.0 - two_s) * endpoint[p]
+        if es[-1] == last:
+            blocks[-1] += h[-1, 0] ** (1.0 - two_s) * endpoint[p][::-1, ::-1]
         _scatter_upper(A, dm.dofs(es), 2.0 * blocks)
 
 
@@ -457,8 +452,7 @@ def assemble(dofmap, s, quad_offset=6):
     dataclasses.replace(system, load=...).  The dof table must ascend left
     to right (ValueError otherwise), as build_dof_map numbers it.
     """
-    _check_s(s)
-    s = float(s)
+    s = _check_s(s)
     quad_offset = _check_offset(quad_offset)
     _check_ascending(dofmap)
     N = dofmap.n_dofs
@@ -466,13 +460,13 @@ def assemble(dofmap, s, quad_offset=6):
     # a block is built when its first row and column dofs sum to at most
     # limit: on a mirror image, when it reaches an entry r + c <= N - 1
     limit = N - 1 if mirror else 2 * N
-    identical = _identical_blocks(dofmap, s, quad_offset)
+    reference = _reference_blocks(dofmap, s, quad_offset)
     adjacent = _adjacent_blocks(dofmap, s, quad_offset, limit)
     work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
     for g, blocks in adjacent:
         _scatter_upper(work, g, blocks)
     sums = _disjoint_blocks(work, dofmap, s, quad_offset, limit)
-    _element_blocks(work, dofmap, s, quad_offset, sums, identical, limit)
+    _element_blocks(work, dofmap, s, quad_offset, sums, reference, limit)
     A = _symmetric_in_place(work, 0.5 * kernel_constant(s), mirror)
     return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)
 

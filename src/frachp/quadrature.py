@@ -56,7 +56,7 @@ def _rule01(n):
 # n x n matrix (the weighted rules of `approx` reach 1024 points).
 _EIGH_MAX = 64
 
-_JACOBI_CACHE = 128  # the paper's studies use 74 distinct rules
+_JACOBI_CACHE = 128  # the paper's studies use 78 distinct rules
 
 
 @lru_cache(maxsize=_JACOBI_CACHE)
@@ -164,8 +164,10 @@ def _jacobi_newton(n, exp0, exp1):
 
 
 def _check_s(s):
+    """s as a float; ValueError unless 0 < s < 1."""
     if not 0.0 < float(s) < 1.0:
         raise ValueError(f"fractional order s must lie in (0, 1), got {s}")
+    return float(s)
 
 
 def _identical_scheme(s, n):

@@ -13,7 +13,8 @@ from frachp import (DegreeRule, DivergentIntegralError,
                     weighted_derivative_norms)
 from frachp import approx
 from frachp.approx import (DerivativeRecurrence, _stabilized_integral,
-                           interpolant_weighted_error)
+                           interpolant_weighted_error,
+                           interpolation_error_study)
 from frachp.basis import gauss_lobatto_nodes
 from frachp.postproc import solution_constant
 from frachp.quadrature import _jacobi01, _rule01
@@ -243,6 +244,14 @@ def test_derivative_norms_rejects_bad_epsilon():
 def test_interpolant_weighted_error_decays():
     errs = [interpolant_weighted_error(0.5, 0.6, L) for L in (2, 4, 6)]
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_interpolation_study_rejects_no_levels():
+    # as convergence_study does: L_max = 0 would return no rows at all
+    for L_max in (0, -1):
+        with pytest.raises(ValueError, match="L_max"):
+            interpolation_error_study(0.5, 0.6, L_max)
+    assert len(interpolation_error_study(0.5, 0.6, 1)) == 1
 
 
 # References: the element-by-element evaluation and the one-rule-at-a-time

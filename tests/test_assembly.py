@@ -11,9 +11,8 @@ import frachp.quadrature as quadrature_mod
 from frachp import (DegreeRule, assemble, assemble_load, build_dof_map,
                     build_geometric_mesh, cholesky_solve, kernel_constant,
                     solve_problem)
-from frachp.assembly import _endpoint_blocks
 from frachp.basis import _shape_matrix, gauss_lobatto_nodes
-from frachp.quadrature import _rule01
+from frachp.quadrature import _jacobi01, _rule01
 from oracles import (MixedDegrees, complement_weight, lagrange_polys,
                      mass_and_laplacian_stiffness,
                      oracle_stiffness, reflection_permutation)
@@ -31,6 +30,17 @@ def test_kernel_constant_values():
         kernel_constant(0.0)
     with pytest.raises(ValueError):
         kernel_constant(1.0)
+
+
+@pytest.mark.parametrize("s", [0.9, 0.98, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9])
+def test_kernel_constant_accurate_near_one(s):
+    # C(s) = 4^s s Gamma(s+1/2) / (sqrt(pi) Gamma(1-s)) by Gamma(1-s) =
+    # -s Gamma(-s): no sine, so nothing cancels as s -> 1; sin(pi s) with
+    # pi s rounded near pi was 7.2e-13 off at 1 - 1e-4 and 1.0e-7 at
+    # 1 - 1e-9
+    quotient = (4.0 ** s * s * math.gamma(s + 0.5)
+                / (math.sqrt(math.pi) * math.gamma(1.0 - s)))
+    assert abs(kernel_constant(s) - quotient) <= 4e-15 * quotient
 
 
 def test_complement_weight_values():
@@ -131,7 +141,8 @@ def exact_divided_differences(p, x, z):
 def per_pair_stiffness(mesh, dm, s, quad_offset):
     """Stiffness from a loop over element pairs i <= j, each through
     pair_quadrature with its divided differences merged per global dof,
-    plus a complement block per element.  Constrained dofs land in
+    plus a complement block per element and, on the two boundary elements,
+    a near-endpoint block of shape/distance ratios.  Constrained dofs land in
     a spare row and column N.  Identical pairs are integrated on (0, 1) and
     scaled by h^(1-2s), with exact divided differences: the quotient of
     differences loses up to 2.5e-13 of the block maximum at s = 0.98
@@ -166,8 +177,9 @@ def per_pair_stiffness(mesh, dm, s, quad_offset):
     for e in range(ne):
         A[np.ix_(dofs[e], dofs[e])] += c * complement_block(dm, s, e,
                                                             quad_offset)
-    for e, block in _endpoint_blocks(dm, s, quad_offset):
-        A[np.ix_(dofs[e], dofs[e])] += c * block
+    for e in (0, ne - 1):
+        A[np.ix_(dofs[e], dofs[e])] += c * endpoint_block(dm, s, e,
+                                                          quad_offset)
     A = A[:N, :N]
     return np.tril(A) + np.tril(A, -1).T
 
@@ -175,7 +187,7 @@ def per_pair_stiffness(mesh, dm, s, quad_offset):
 def complement_block(dm, s, e, quad_offset):
     """int_T phi_k phi_l kappa on element e at physical Gauss points; on
     the two boundary elements only the far endpoint's term, the near one's
-    being the Jacobi block of _endpoint_blocks."""
+    being that of endpoint_block."""
     a, b = dm.lo[0], dm.hi[-1]
     lo, hi, p = dm.lo[e], dm.hi[e], int(dm.degrees[e])
     t, w = _rule01(p + quad_offset)
@@ -188,6 +200,22 @@ def complement_block(dm, s, e, quad_offset):
         kappa = complement_weight((a, b), s, x)
     vals = _shape_matrix(p, (x - lo) / (hi - lo))
     return (vals * (w * (hi - lo) * kappa)) @ vals.T
+
+
+def endpoint_block(dm, s, e, quad_offset):
+    """int_T phi_k phi_l (dist to the near endpoint)^(-2s) / (2s) on the
+    boundary element e, with the first-order zero of the active shapes
+    factored out as the ratios S(r) / r, r being the distance to the near
+    endpoint over h, on the Gauss-Jacobi weight r^(2-2s); the right end
+    sees its shapes at 1 - r, which are those at r reversed.  Only its
+    active rows and columns are meaningful: a shape that is 1 at the
+    endpoint has no zero to factor."""
+    p = int(dm.degrees[e])
+    r, wj = _jacobi01(p + quad_offset, 2.0 - 2.0 * s, 0.0)
+    ratios = _shape_matrix(p, r) / r
+    weights = wj * dm.h[e] ** (1.0 - 2.0 * s) / (2.0 * s)
+    block = (ratios * weights) @ ratios.T
+    return block if e == 0 else block[::-1, ::-1]
 
 
 def make_rule(kind, p):
@@ -338,8 +366,14 @@ def test_limit_slopes_see_assembly_defects(monkeypatch, defect):
         monkeypatch.setattr(assembly_mod, "kernel_constant",
                             lambda s: 1.01 * kernel_constant(s))
     else:
-        monkeypatch.setattr(assembly_mod, "_endpoint_blocks",
-                            lambda dm, s, quad_offset: iter(()))
+        reference_blocks = assembly_mod._reference_blocks
+
+        def without_endpoint(*args):
+            identical, endpoint = reference_blocks(*args)
+            return identical, {p: 0.0 * block for p, block in endpoint.items()}
+
+        monkeypatch.setattr(assembly_mod, "_reference_blocks",
+                            without_endpoint)
     for kind, L in LIMIT_MAPS:
         dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
                            DegreeRule(kind, L))
@@ -403,19 +437,23 @@ def test_batched_load_matches_per_element(kind, L):
 
 @pytest.mark.parametrize("s", [0.3, 0.7, 0.98])
 def test_boundary_complement_blocks_converged_at_deep_L(s):
-    # on the active shapes of a boundary element the shape/distance ratio
-    # is a polynomial of degree p - 1, so the Jacobi rule is exact for any
-    # quad_offset; the blocks then differ only by rounding, although the
-    # boundary elements have length sigma^24 ~ 5e-6
+    # the divided differences of the shapes against the near endpoint are
+    # polynomials of degree p - 1, so the Jacobi rule of the reference
+    # endpoint block is exact for any quad_offset; the blocks then differ
+    # only by rounding, although the boundary elements have length
+    # sigma^24 ~ 5e-6
     mesh = build_geometric_mesh((-1, 1), 0.6, 24)
     dm = build_dof_map(mesh, DegreeRule.uniform(24))
     ends = (0, mesh.n_elements - 1)
     blocks = []
     for offset in (6, 30):
-        # the Jacobi block of the near endpoint plus the Gauss block of the
-        # far one
-        blocks.append({e: block + complement_block(dm, s, e, offset)
-                       for e, block in _endpoint_blocks(dm, s, offset)})
+        # the Jacobi block of the near endpoint, as _element_blocks takes
+        # it at each end, plus the Gauss block of the far one
+        _, endpoint = assembly_mod._reference_blocks(dm, s, offset)
+        near = endpoint[24]
+        blocks.append({e: dm.h[e] ** (1.0 - 2.0 * s) * block
+                       + complement_block(dm, s, e, offset)
+                       for e, block in zip(ends, (near, near[::-1, ::-1]))})
     for e in ends:
         keep = dm.table[e, :dm.degrees[e] + 1] >= 0
         active = np.ix_(keep, keep)
@@ -426,18 +464,25 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
 
 @pytest.mark.parametrize("s", [0.02, 0.5, 0.98])
 @pytest.mark.parametrize("L", [6, 24])
-def test_endpoint_blocks_mirror_each_other(s, L):
+def test_endpoint_blocks_mirror_each_other(monkeypatch, s, L):
     # the two boundary elements of a uniform mesh on (-1, 1) are mirror
-    # images, so the right end's block is the left end's with its active
-    # rows and columns reversed, bit for bit; a rule of its own for the
-    # right end, with the weight (1 - t)^(2-2s), missed that by up to
-    # 6.8e-14 of the maximum (1 - t cancels at its nodes near 1), and the
-    # shapes at the rounded points 1 - r by up to 5.4e-16
+    # images; off the mirror path the last element takes the reference
+    # endpoint block with its rows and columns reversed, so the entries of
+    # the two boundary elements mirror each other up to the rounding of
+    # the other blocks (3.5e-14 of their maximum at L = 24, s = 0.98); the
+    # endpoint block taken unreversed there misses by 2.1e-2 (s = 0.98) to
+    # 7.2 (s = 0.02, L = 24).  The reversed block is the exact mirror; a
+    # rule of its own for the right end, with the weight (1 - t)^(2-2s),
+    # missed it by up to 6.8e-14 of the maximum (1 - t cancels at its
+    # nodes near 1)
     dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, L),
                        DegreeRule.uniform(L))
     assert dm.h[0] == dm.h[-1]
-    (_, left), (_, right) = _endpoint_blocks(dm, s, 6)
-    assert np.array_equal(right[:-1, :-1], left[1:, 1:][::-1, ::-1])
+    monkeypatch.setattr(assembly_mod, "_is_mirror_image", lambda dm: False)
+    A = assemble(dm, s).stiffness
+    left, right = A[:L, :L], A[-L:, -L:]
+    assert np.abs(right - left[::-1, ::-1]).max() <= 1e-13 * np.abs(
+        right).max()
 
 
 def long_double_divided_differences(p, x, z):

@@ -280,7 +280,7 @@ def test_one_shot_solve_residual_and_energy(s, L):
         c += linalg.cho_solve(factor, (b_ld - A_ld @ c).astype(float))
     e_ld = float(b_ld @ c)
     eps = np.finfo(float).eps
-    # at s = 0.98 this reads 0.915 of the bound: eps |c|^T |A| |c| is 14.2
+    # at s = 0.98 this reads 0.893 of the bound: eps |c|^T |A| |c| is 14.2
     # times the bound, and the energy of the same c with b - A c taken in
     # long double reads 0.000, so the gap is the rounding of the residual
     # in double; other block sizes, scipy's cho_solve, LU or one refinement

@@ -149,6 +149,39 @@ def test_error_not_increased_by_extra_degree():
     assert errors[2] <= errors[1] + 1e-12
 
 
+def relative_gaps(s, levels):
+    """(a(u,u) - a(u_N,u_N)) / a(u,u) at sigma = 0.6, uniform p = L, taken
+    directly rather than through energy_error, whose N eps a(u,u) margin
+    lies below the rounding of the energy near s = 1."""
+    exact = exact_energy(s)
+    return np.array([
+        (exact - solve_problem(s, 0.6, L, DegreeRule.uniform(L))[3].energy)
+        / exact for L in levels])
+
+
+def test_energy_gap_at_s_near_one_below_kernel_constant_floor():
+    # u tends to (1 - x^2)/2, which p = 2 holds: the gap reads 3.0e-13 of
+    # a(u,u) at L = 2; with C(s) through sin(pi s), 6.2e-12 off at this s,
+    # it read 6.5e-12
+    gap, = relative_gaps(1 - 1e-6, [2])
+    assert abs(gap) <= 1e-12
+
+
+def test_energy_gap_falls_at_s_near_one():
+    # from 3.0e-9 at L = 2 to 6.9e-13 at L = 10
+    gaps = relative_gaps(1 - 1e-4, range(2, 11))
+    assert np.all(gaps > 0) and np.all(np.diff(gaps) < 0), gaps
+    assert gaps[-1] <= 1e-12
+
+
+def test_energy_gap_falls_at_s_near_zero():
+    # u tends to the indicator of (-1, 1), which no continuous space holds:
+    # from 0.167 at L = 1 to 2.1e-4 at L = 8
+    gaps = relative_gaps(1e-6, range(1, 9))
+    assert np.all(gaps > 0) and np.all(np.diff(gaps) < 0), gaps
+    assert gaps[-1] <= 3e-4
+
+
 def test_solution_reflection_symmetric_for_even_data():
     _, dm, _, sol = solve_problem(0.3, 0.6, 3, DegreeRule.uniform(3))
     perm = reflection_permutation(dm)
