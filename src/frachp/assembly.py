@@ -30,10 +30,9 @@ i < j) with the schemes of the quadrature module, batched per pair class:
   shape tables S, which depend on neither the element nor s and are cached
   across calls, the cross block is -2 h_i h_j (S_x w) K (S_z w)^T and the
   self terms are h_i h_j w K w and h_i h_j w K^T w.  Pairs are batched over
-  the whole mesh per degree pair (p_i, p_j) and point count n, whose points
-  and dof rows are computed once, in chunks of a fixed number of kernel
-  entries; each chunk scatters its cross blocks and sums its self terms per
-  element.
+  the whole mesh per degree pair (p_i, p_j) and point count n, in chunks
+  of a fixed number of kernel entries; each chunk scatters its cross
+  blocks and sums its self terms per element.
 
 Each element's own block is built in one pass per degree: the identical
 pair plus S_n diag(weights) S_n^T for each point count n, the weights being
@@ -72,9 +71,15 @@ to the mirror elements, and the upper entries r + c > N - 1 are copied
 from (N-1-c, N-1-r) when the work array is mirrored, so A comes out
 exactly persymmetric.  Any other map builds every block.
 
-assemble(dofmap, s, quad_offset=6) and assemble_load(f, dofmap,
-quad_offset=6) read the element bounds, lengths, degrees and dof rows from
-the element table of the dof map, which also carries the mesh.
+assemble(dofmap, s, quad_offset=6) runs in two stages.  _plan(dofmap,
+quad_offset) does the work that depends on the mesh alone: the checks, the
+mirror decision, and per pair class the kept pairs with their points,
+h-products, endpoint distances and dof rows.  _pass(plan, s) does the rest
+at one s: the reference blocks, the kernel powers, the products, the
+scatters and the final mirror.  A study of several s on one dof map builds
+the plan once.  assemble_load(f, dofmap, quad_offset=6) and both stages
+read the element bounds, lengths, degrees and dof rows from the element
+table of the dof map, which also carries the mesh.
 """
 
 from __future__ import annotations
@@ -159,14 +164,6 @@ def _scatter(A, flat, values):
     np.add.at(A.reshape(-1), flat.ravel(), values.ravel())
 
 
-def _add_rows(table, rows, values):
-    """table[rows[k]] += values[k] for k in order, a row index repeating
-    freely, through np.add.at's fast path on flat 1-D indices."""
-    n = table.shape[1]
-    flat = rows[:, None] * n + np.arange(n)
-    np.add.at(table.reshape(-1), flat.ravel(), values.ravel())
-
-
 @lru_cache(maxsize=None)
 def _triu(n, k=0):
     """np.triu_indices(n, k) as read-only arrays, kept across calls."""
@@ -188,60 +185,117 @@ def _scatter_upper(A, g, blocks):
     _scatter(A, flat, blocks[:, k, l])
 
 
-def _adjacent_table(scheme, pi, pj):
+def _adjacent_table(xi, wq, tu, pi, pj):
     """Angular slices of the adjacent block for degrees (pi, pj) on the
-    scheme (rho_x, rho_z, xi, wq) of _adjacent_scheme(s, n): row (t, u)
-    holds sum_q wq/xi^2 r_k r_l over the radial points of triangle t at
-    angular point u, r being the divided-difference rows with the shared
-    vertex merged; shape (2n, m*m), m = pi + pj + 1.  T_e sees its points
-    at 1 - rho_x, so it takes the rows of its shapes at rho_x reversed."""
-    rho_x, rho_z, xi, wq = scheme
+    radial rule (xi, wq) of _adjacent_scheme(s, n) and the angular points
+    tu: row (t, u) holds sum_q wq/xi^2 r_k r_l over the radial points of
+    triangle t at angular point u, r being the divided-difference rows with
+    the shared vertex merged; shape (2n, m*m), m = pi + pj + 1.  On
+    triangle 0 the points are rho_x = xi and rho_z = xi tau, on triangle 1
+    the roles swap, so each side's shapes are evaluated once on the n
+    radial nodes and once on the n^2 angular points (u, q), and only once
+    when pi = pj.  T_e sees its points at 1 - rho_x, so it takes the rows
+    of its shapes reversed."""
     n = len(xi)
-    # points ordered (t, u, q): each (k, q) slice below is a strided matrix
-    rho_x, rho_z = rho_x.transpose(0, 2, 1), rho_z.transpose(0, 2, 1)
+    angular = (tu[:, None] * xi).ravel()
+    shapes = {p: (_shape_matrix(p, xi)[:, None, :],
+                  _shape_matrix(p, angular).reshape(p + 1, n, n))
+              for p in {pi, pj}}
+    (radial_x, angular_x), (radial_z, angular_z) = shapes[pi], shapes[pj]
     m = pi + pj + 1
-    rows = np.zeros((m, 2 * n * n))
+    rows = np.zeros((m, 2, n, n))  # (k, t, u, q)
     # local pi of T_e and local 0 of T_e+1 are the shared vertex
-    rows[:pi + 1] = _shape_matrix(pi, rho_x.ravel())[::-1]
-    rows[pi:] -= _shape_matrix(pj, rho_z.ravel())
-    rows = rows.reshape(m, 2, n, n)
+    rows[:pi + 1, 0] = radial_x[::-1]
+    rows[:pi + 1, 1] = angular_x[::-1]
+    rows[pi:, 0] -= angular_z
+    rows[pi:, 1] -= radial_z
     rows *= np.sqrt(wq) / xi
     rows = rows.transpose(1, 2, 0, 3)  # (t, u, k, q)
     return (rows @ rows.swapaxes(-1, -2)).reshape(2 * n, m * m)
 
 
-def _adjacent_blocks(dm, s, quad_offset, limit):
-    """T_e x T_e+1, twice (for the mirrored pair), per degree pair, for
-    the pairs whose first dof, twice, is at most limit, as (dofs, blocks)
-    pairs for _scatter_upper.  Called before the work array is allocated,
-    so that the table and its temporaries are never live beside it.
+def _adjacent_plan(dm, quad_offset, limit):
+    """T_e x T_e+1 per degree pair (pi, pj), for the pairs whose first
+    dof, twice, is at most limit: (pi, pj, 2 h_x h_z wu, ell, dofs), with
+    the angular lengths ell of _adjacent_lengths on the angular rule
+    (tu, wu) and the dof rows with the shared vertex merged."""
+    kept = np.flatnonzero(2 * dm.table[:-1, 0] <= limit)
+    left, right = dm.degrees[kept], dm.degrees[kept + 1]
+    groups = []
+    for pi, pj in sorted(set(zip(left.tolist(), right.tolist()))):
+        es = kept[(left == pi) & (right == pj)]
+        tu, wu = _rule01(max(pi, pj) + quad_offset)
+        hx, hz = dm.h[es, None], dm.h[es + 1, None]
+        g = np.concatenate((dm.table[es, :pi], dm.table[es + 1, :pj + 1]),
+                           axis=1)
+        groups.append((pi, pj, 2.0 * hx[:, None] * hz[:, None] * wu,
+                       _adjacent_lengths(tu, hx, hz), g))
+    return groups
+
+
+def _adjacent_blocks(groups, s):
+    """T_e x T_e+1, twice (for the mirrored pair), per degree pair of
+    _adjacent_plan, as (dofs, blocks) pairs for _scatter_upper.  Called
+    before the work array is allocated, so that the table and its
+    temporaries are never live beside it.
 
     The weight of a point factors into a radial part wq / xi^2, held in the
     table, and a per-pair part h_x h_z wu ell^(-1-2s) in the angular
     variable, so each block is one row of weights times the table.  The
     scheme depends on the point count alone.
     """
-    kept = np.flatnonzero(2 * dm.table[:-1, 0] <= limit)
-    left, right = dm.degrees[kept], dm.degrees[kept + 1]
     blocks = []
-    for pi, pj in sorted(set(zip(left.tolist(), right.tolist()))):
-        es = kept[(left == pi) & (right == pj)]
-        n = max(pi, pj) + quad_offset
-        tu, wu = _rule01(n)
-        hx, hz = dm.h[es, None], dm.h[es + 1, None]
-        weights = 2.0 * hx[:, None] * hz[:, None] * wu * _adjacent_lengths(
-            tu, hx, hz) ** (-1.0 - 2.0 * s)
-        pair = weights.reshape(len(es), 2 * n) @ _adjacent_table(
-            _adjacent_scheme(s, n), pi, pj)
-        g = np.concatenate((dm.dofs(es)[:, :pi], dm.dofs(es + 1)), axis=1)
-        blocks.append((g, pair.reshape(len(es), pi + pj + 1, -1)))
+    for pi, pj, hh, ell, g in groups:
+        n = ell.shape[-1]
+        weights = hh * ell ** (-1.0 - 2.0 * s)
+        pair = weights.reshape(len(g), 2 * n) @ _adjacent_table(
+            *_adjacent_scheme(s, n), _rule01(n)[0], pi, pj)
+        blocks.append((g, pair.reshape(len(g), pi + pj + 1, -1)))
     return blocks
 
 
-def _disjoint_blocks(A, dm, s, quad_offset, limit):
-    """T_i x T_j for j >= i + 2, twice, batched over the whole mesh per
-    degree pair and point count, in chunks of _CHUNK kernel entries, for
-    the pairs whose first dofs sum to at most limit.
+def _disjoint_plan(dm, quad_offset, limit):
+    """T_i x T_j for j >= i + 2, for the pairs whose first dofs sum to at
+    most limit, batched over the whole mesh per degree pair (p, q) and
+    point count n: (p, q, h_i h_j w, -2 h_i h_j, x, z, rows, cols, chunks),
+    with the Gauss weights w, the Gauss points x of T_i and z of T_j, the
+    dof rows of T_i as flat row offsets into the work array and those of
+    T_j, and per chunk of _CHUNK kernel entries its slice of the batch, its
+    mirror mask and the flat row offsets, into the (elements, n) table of
+    _disjoint_blocks, of the elements that take its self weights."""
+    ne = len(dm.h)
+    first = dm.table[:, 0]
+    i, j = _triu(ne, 2)
+    kept = first[i] + first[j] <= limit
+    i, j = i[kept], j[kept]
+    flip = first[ne - 1 - j] + first[ne - 1 - i] > limit
+    pi, pj = dm.degrees[i], dm.degrees[j]
+    n = _disjoint_n(np.maximum(pi, pj) + quad_offset, dm.h[i], dm.h[j],
+                    dm.lo[j] - dm.hi[i])
+    groups = []
+    for p, q, nq in sorted(set(zip(pi.tolist(), pj.tolist(), n.tolist()))):
+        pairs = np.flatnonzero((pi == p) & (pj == q) & (n == nq))
+        t, wt = _rule01(nq)
+        ig, jg, fg = i[pairs], j[pairs], flip[pairs]
+        hh = dm.h[ig] * dm.h[jg]
+        step = max(1, _CHUNK // nq ** 2)
+        chunks = []
+        for c in range(0, len(pairs), step):
+            b = slice(c, c + step)
+            ix, jz, f = ig[b], jg[b], fg[b]
+            own = np.concatenate((ix, ne - 1 - ix[f], jz, ne - 1 - jz[f]))
+            chunks.append((b, f, own[:, None] * nq))
+        groups.append((p, q, hh[:, None] * wt, -2.0 * hh[:, None, None],
+                       dm.lo[ig, None] + dm.h[ig, None] * t,
+                       dm.lo[jg, None] + dm.h[jg, None] * t,
+                       dm.table[ig, :p + 1][:, :, None] * (dm.n_dofs + 1),
+                       dm.table[jg, :q + 1][:, None, :], chunks))
+    return groups
+
+
+def _disjoint_blocks(A, groups, s, ne):
+    """T_i x T_j for j >= i + 2, twice, per batch and chunk of
+    _disjoint_plan, on a mesh of ne elements.
 
     On a tensor Gauss rule with K_ab = |x_a - z_b|^(-1-2s) the block factors
     into h_i h_j times S_x diag(w K w) S_x^T, -(S_x w) K (S_z w)^T (and its
@@ -254,40 +308,21 @@ def _disjoint_blocks(A, dm, s, quad_offset, limit):
     skipped also adds its self weights, reversed, to the mirror elements
     ne-1-i and ne-1-j, which are theirs.
     """
-    ne = len(dm.h)
-    first = dm.table[:, 0]
-    i, j = _triu(ne, 2)
-    kept = first[i] + first[j] <= limit
-    i, j = i[kept], j[kept]
-    flip = first[ne - 1 - j] + first[ne - 1 - i] > limit
-    pi, pj = dm.degrees[i], dm.degrees[j]
-    n = _disjoint_n(np.maximum(pi, pj) + quad_offset, dm.h[i], dm.h[j],
-                    dm.lo[j] - dm.hi[i])
     sums = {}
-    for p, q, nq in sorted(set(zip(pi.tolist(), pj.tolist(), n.tolist()))):
-        pairs = np.flatnonzero((pi == p) & (pj == q) & (n == nq))
-        t, wt = _rule01(nq)
+    for p, q, hw, scale, x, z, rows, cols, chunks in groups:
+        nq = x.shape[1]
+        wt = _rule01(nq)[1]
         sxw, szw = _gauss_shapes(p, nq) * wt, _gauss_shapes(q, nq) * wt
-        weights = sums.setdefault(nq, np.zeros((ne, nq)))
-        ig, jg, fg = i[pairs], j[pairs], flip[pairs]
-        hh = dm.h[ig] * dm.h[jg]
-        x = dm.lo[ig, None] + dm.h[ig, None] * t
-        z = dm.lo[jg, None] + dm.h[jg, None] * t
-        rows = dm.dofs(ig)[:, :, None] * A.shape[1]
-        cols = dm.dofs(jg)[:, None, :]
-        step = max(1, _CHUNK // nq ** 2)
-        for c in range(0, len(pairs), step):
-            b = slice(c, c + step)
-            ix, jz, f = ig[b], jg[b], fg[b]
+        table = sums.setdefault(nq, np.zeros((ne, nq))).reshape(-1)
+        points = np.arange(nq)
+        for b, f, own in chunks:
             K = z[b, None, :] - x[b, :, None]
             np.power(K, -1.0 - 2.0 * s, out=K)
-            hw = hh[b, None] * wt
-            sx, sz = hw * (K @ wt), hw * (wt @ K)
-            _add_rows(weights,
-                      np.concatenate((ix, ne - 1 - ix[f], jz, ne - 1 - jz[f])),
-                      np.concatenate((sx, sx[f, ::-1], sz, sz[f, ::-1])))
+            sx, sz = hw[b] * (K @ wt), hw[b] * (wt @ K)
+            weights = np.concatenate((sx, sx[f, ::-1], sz, sz[f, ::-1]))
+            np.add.at(table, (own + points).ravel(), weights.ravel())
             cross = (sxw @ K) @ szw.T
-            cross *= -2.0 * hh[b, None, None]
+            cross *= scale[b]
             _scatter(A, rows[b] + cols[b], cross)
     return sums
 
@@ -325,10 +360,34 @@ def _reference_blocks(dm, s, quad_offset):
     return identical, endpoint
 
 
-def _element_blocks(A, dm, s, quad_offset, sums, reference, limit):
-    """Each element's own block, twice, scattered once per degree, for the
-    elements whose first dof, twice, is at most limit: the identical pair
-    T x T, S_n diag(weights) S_n^T for each point count n, and the
+def _element_plan(dm, quad_offset, limit):
+    """Each element's own block per degree p, for the elements whose first
+    dof, twice, is at most limit: (p, es, h, w h, left, right, dofs) on the
+    (p + quad_offset)-point Gauss rule (t, w), with the distances to the
+    endpoints in reference coordinates, left = (lo - a) + h t and
+    right = (b - hi) + h (1 - t), so they keep their relative accuracy on
+    the small elements at the boundary.  The first element's left distance
+    and the last element's right one are inf, whose weight inf^(-2s) is 0:
+    their near-endpoint term is a reference block of its own."""
+    a, b = dm.lo[0], dm.hi[-1]
+    kept = np.flatnonzero(2 * dm.table[:, 0] <= limit)
+    groups = []
+    for p in sorted(set(dm.degrees[kept].tolist())):
+        es = kept[dm.degrees[kept] == p]
+        h = dm.h[es, None]
+        t, w = _rule01(p + quad_offset)
+        left = (dm.lo[es, None] - a) + h * t
+        right = (b - dm.hi[es, None]) + h * (1.0 - t)
+        left[es == 0] = np.inf
+        right[es == len(dm.h) - 1] = np.inf
+        groups.append((p, es, h, w * h, left, right, dm.table[es, :p + 1]))
+    return groups
+
+
+def _element_blocks(A, groups, s, sums, reference, last):
+    """Each element's own block, twice, scattered once per degree of
+    _element_plan, last being the index of the last element: the identical
+    pair T x T, S_n diag(weights) S_n^T for each point count n, and the
     near-endpoint term of kappa on the two boundary elements.
 
     The singular terms are h^(1-2s) times the reference blocks
@@ -338,29 +397,18 @@ def _element_blocks(A, dm, s, quad_offset, sums, reference, limit):
     z > x.  The near-endpoint block is endpoint[p] on element 0 and, as
     the last element sees its shapes at the mirrored points 1 - r, where
     they are those at r reversed, endpoint[p][::-1, ::-1] on the last.  The
-    weights are kappa h w at n = p + quad_offset, with the distances to the
-    endpoints in reference coordinates, (lo - a) + h t and
-    (b - hi) + h (1 - t), so they keep their relative accuracy on the small
-    elements at the boundary (without the near-endpoint term of the two
-    boundary elements), plus the self sums of the disjoint pairs at their
-    own point counts.
+    weights are kappa h w at the plan's points (without the near-endpoint
+    term of the two boundary elements), plus the self sums of the disjoint
+    pairs at their own point counts.
     """
-    a, b = dm.lo[0], dm.hi[-1]
     two_s = 2.0 * s
-    last = len(dm.h) - 1
     identical, endpoint = reference
-    kept = np.flatnonzero(2 * dm.table[:, 0] <= limit)
-    for p in sorted(set(dm.degrees[kept].tolist())):
-        es = kept[dm.degrees[kept] == p]
-        h, n = dm.h[es, None], p + quad_offset
+    for p, es, h, wh, left, right, g in groups:
         blocks = h[:, :, None] ** (1.0 - two_s) * identical[p]
-        t, w = _rule01(n)
-        left = ((dm.lo[es, None] - a) + h * t) ** -two_s
-        right = ((b - dm.hi[es, None]) + h * (1.0 - t)) ** -two_s
-        left[es == 0] = 0.0
-        right[es == last] = 0.0
         weights = {m: table[es] for m, table in sums.items()}
-        weights[n] = weights.get(n, 0.0) + w * h * (left + right) / two_s
+        n = wh.shape[1]
+        weights[n] = weights.get(n, 0.0) + wh * (
+            left ** -two_s + right ** -two_s) / two_s
         for m, wm in weights.items():
             sx = _gauss_shapes(p, m)
             blocks += (sx * wm[:, None, :]) @ sx.T
@@ -368,7 +416,7 @@ def _element_blocks(A, dm, s, quad_offset, sums, reference, limit):
             blocks[0] += h[0, 0] ** (1.0 - two_s) * endpoint[p]
         if es[-1] == last:
             blocks[-1] += h[-1, 0] ** (1.0 - two_s) * endpoint[p][::-1, ::-1]
-        _scatter_upper(A, dm.dofs(es), 2.0 * blocks)
+        _scatter_upper(A, g, 2.0 * blocks)
 
 
 def _check_ascending(dm):
@@ -444,6 +492,55 @@ def _symmetric_in_place(work, scale, mirror):
     return A
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """The part of assemble that depends on the dof map and quad_offset
+    alone, built once by _plan and read by _pass for every s."""
+
+    dofmap: object
+    quad_offset: int
+    mirror: bool
+    adjacent: list
+    disjoint: list
+    elements: list
+
+
+def _plan(dofmap, quad_offset):
+    """The mesh-only stage of assemble: the checks, the mirror decision, and
+    per pair class the kept pairs with their points, h-products, distance
+    bases and dof rows.  The dof table must ascend left to right
+    (ValueError otherwise)."""
+    quad_offset = _check_offset(quad_offset)
+    _check_ascending(dofmap)
+    N = dofmap.n_dofs
+    mirror = _is_mirror_image(dofmap)
+    # a block is built when its first row and column dofs sum to at most
+    # limit: on a mirror image, when it reaches an entry r + c <= N - 1
+    limit = N - 1 if mirror else 2 * N
+    return _Plan(dofmap, quad_offset, mirror,
+                 _adjacent_plan(dofmap, quad_offset, limit),
+                 _disjoint_plan(dofmap, quad_offset, limit),
+                 _element_plan(dofmap, quad_offset, limit))
+
+
+def _pass(plan, s):
+    """The stiffness matrix at s on a _plan: the reference blocks, the
+    kernel powers, the products, the scatters and the final mirror."""
+    s = _check_s(s)
+    dm, N = plan.dofmap, plan.dofmap.n_dofs
+    reference = _reference_blocks(dm, s, plan.quad_offset)
+    adjacent = _adjacent_blocks(plan.adjacent, s)
+    work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
+    for g, blocks in adjacent:
+        _scatter_upper(work, g, blocks)
+    del adjacent
+    ne = len(dm.h)
+    sums = _disjoint_blocks(work, plan.disjoint, s, ne)
+    _element_blocks(work, plan.elements, s, sums, reference, ne - 1)
+    A = _symmetric_in_place(work, 0.5 * kernel_constant(s), plan.mirror)
+    return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)
+
+
 def assemble(dofmap, s, quad_offset=6):
     """Assemble the stiffness matrix of the weak form (stiffness only).
 
@@ -452,23 +549,7 @@ def assemble(dofmap, s, quad_offset=6):
     dataclasses.replace(system, load=...).  The dof table must ascend left
     to right (ValueError otherwise), as build_dof_map numbers it.
     """
-    s = _check_s(s)
-    quad_offset = _check_offset(quad_offset)
-    _check_ascending(dofmap)
-    N = dofmap.n_dofs
-    mirror = _is_mirror_image(dofmap)
-    # a block is built when its first row and column dofs sum to at most
-    # limit: on a mirror image, when it reaches an entry r + c <= N - 1
-    limit = N - 1 if mirror else 2 * N
-    reference = _reference_blocks(dofmap, s, quad_offset)
-    adjacent = _adjacent_blocks(dofmap, s, quad_offset, limit)
-    work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
-    for g, blocks in adjacent:
-        _scatter_upper(work, g, blocks)
-    sums = _disjoint_blocks(work, dofmap, s, quad_offset, limit)
-    _element_blocks(work, dofmap, s, quad_offset, sums, reference, limit)
-    A = _symmetric_in_place(work, 0.5 * kernel_constant(s), mirror)
-    return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)
+    return _pass(_plan(dofmap, quad_offset), s)
 
 
 def assemble_load(f, dofmap, quad_offset=6):
@@ -490,5 +571,5 @@ def assemble_load(f, dofmap, quad_offset=6):
             raise ValueError(f"load function returned non-finite values on "
                              f"element {es[bad][0] + 1}")
         local = (w * dofmap.h[es, None] * fx) @ _gauss_shapes(p, n).T
-        np.add.at(b, dofmap.dofs(es), local)
+        np.add.at(b, dofmap.table[es, :p + 1], local)
     return b[:-1]

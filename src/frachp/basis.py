@@ -187,15 +187,6 @@ class DofMap:
     hi: np.ndarray
     h: np.ndarray
 
-    def dofs(self, es):
-        """Stacked dof rows of elements es, which must share one degree."""
-        es = np.asarray(es)
-        p = self.degrees[es]
-        if np.count_nonzero(p != p[0]):
-            raise ValueError("dofs needs elements of one degree, got degrees "
-                             f"{sorted(set(p.tolist()))}")
-        return self.table[es, :p[0] + 1]
-
 
 def build_dof_map(mesh, rule):
     """Assign global dof indices left to right: element e holds
@@ -244,8 +235,8 @@ def _eval(dofmap, coeffs, x, derivative):
         at = degrees == p
         e = es[at]
         t = (xs[at] - dofmap.lo[e]) / dofmap.h[e]
-        out[at] = _element_values(coeffs[dofmap.dofs(e)], dofmap.h[e],
-                                  t[:, None], derivative)[:, 0]
+        out[at] = _element_values(coeffs[dofmap.table[e, :p + 1]],
+                                  dofmap.h[e], t[:, None], derivative)[:, 0]
     return out.reshape(x.shape)[()]
 
 

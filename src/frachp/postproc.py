@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import assemble, assemble_load
+from .assembly import _pass, _plan, assemble, assemble_load
 from .basis import DegreeRule, build_dof_map
 from .geomesh import build_geometric_mesh
 from .linsolve import cholesky_solve
@@ -114,9 +115,27 @@ def solve_problem(s, sigma, L, rule, quad_offset=6):
     dofmap = build_dof_map(mesh, rule)
     system = assemble(dofmap, s, quad_offset=quad_offset)
     system = replace(system, load=assemble_load(
-        lambda x: np.ones_like(x), dofmap, quad_offset=quad_offset))
+        np.ones_like, dofmap, quad_offset=quad_offset))
     sol = cholesky_solve(system)
     return mesh, dofmap, system, sol
+
+
+@contextmanager
+def _naming(s, L):
+    """Raise a failure of the enclosed solve, an EnergyGapError included,
+    as a RuntimeError naming (s, L)."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"solve failed at s={s}, L={L}: {exc}") from exc
+
+
+def _record(s, sigma, rule, system, sol, wall):
+    """The study point of a solve at s with p = L, its error included."""
+    return ConvergenceRecord(
+        s=float(s), sigma=float(sigma), L=rule.p, degree_rule=rule,
+        N=system.n, energy_error=energy_error(system, sol, s),
+        discrete_energy=sol.energy, wall_seconds=wall)
 
 
 def solve_record(s, sigma, L, rule_kind, quad_offset=6):
@@ -128,31 +147,50 @@ def solve_record(s, sigma, L, rule_kind, quad_offset=6):
     _check_s(s)
     rule = DegreeRule(rule_kind, L)
     start = time.perf_counter()
-    try:
-        _, dofmap, system, sol = solve_problem(s, sigma, L, rule,
-                                               quad_offset=quad_offset)
+    with _naming(s, L):
+        _, _, system, sol = solve_problem(s, sigma, L, rule,
+                                          quad_offset=quad_offset)
         wall = time.perf_counter() - start
-        error = energy_error(system, sol, s)
-    except Exception as exc:
-        raise RuntimeError(f"solve failed at s={s}, L={L}: {exc}") from exc
-    record = ConvergenceRecord(
-        s=float(s), sigma=float(sigma), L=L, degree_rule=rule,
-        N=dofmap.n_dofs, energy_error=error, discrete_energy=sol.energy,
-        wall_seconds=wall)
-    return record, system
+        return _record(s, sigma, rule, system, sol, wall), system
 
 
 def convergence_study(s_list, sigma, L_max, rule_kind, quad_offset=6):
     """Run the L = 1..L_max sweep with p = L for each fractional order.
 
     rule_kind is 'uniform' (degree L everywhere) or 'reduced' (degree 1 on
-    the two boundary elements).  Records are emitted in (s, L) lexicographic
-    order.
+    the two boundary elements).  Each L builds its mesh, dof map, f = 1
+    load and assembly plan once, for every s; a record's wall_seconds is
+    that shared set-up plus its own stiffness pass and solve.  Records are
+    emitted in (s, L) lexicographic order, each equal to solve_record's but
+    for wall_seconds.  A failure is raised as a RuntimeError naming (s, L)
+    at the lowest failing L; one of the shared set-up names the first s.
     """
     if L_max < 1:
         raise ValueError(f"L_max must be >= 1, got {L_max}")
-    return [solve_record(s, sigma, L, rule_kind, quad_offset=quad_offset)[0]
-            for s in s_list for L in range(1, L_max + 1)]
+    s_list = [_check_s(s) for s in s_list]
+    if not s_list:
+        return []
+    rows = [[] for _ in s_list]
+    for L in range(1, L_max + 1):
+        rule = DegreeRule(rule_kind, L)
+        start = time.perf_counter()
+        with _naming(s_list[0], L):
+            dofmap = build_dof_map(
+                build_geometric_mesh((-1.0, 1.0), sigma, L), rule)
+            load = assemble_load(np.ones_like, dofmap,
+                                 quad_offset=quad_offset)
+            load.flags.writeable = False
+            plan = _plan(dofmap, quad_offset)
+        setup = time.perf_counter() - start
+        for s, row in zip(s_list, rows):
+            start = time.perf_counter()
+            with _naming(s, L):
+                system = replace(_pass(plan, s), load=load)
+                sol = cholesky_solve(system)
+                wall = setup + time.perf_counter() - start
+                row.append(_record(s, sigma, rule, system, sol, wall))
+            del system, sol  # free this matrix before the next is built
+    return [record for row in rows for record in row]
 
 
 def record_fields(r):

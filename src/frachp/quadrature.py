@@ -190,22 +190,15 @@ def _adjacent_scheme(s, n):
 
     Points are distances from the shared vertex normalised per element,
     rho_x = |x - v| / h_x and rho_z = |z - v| / h_z, so they do not depend
-    on the element lengths.  Returns (rho_x, rho_z, xi, wq):
-    rho_x, rho_z have shape (2, n, n), indexed (triangle, xi, tau); on
-    triangle 0 (rho_z <= rho_x) rho_x = xi and rho_z = xi * tau, on
-    triangle 1 the roles swap.  For lengths h_x, h_z the distance is
-    |x - z| = xi * ell with ell = _adjacent_lengths(tu, h_x, h_z) on the
-    angular rule (tu, wu) = _rule01(n), and the weight with |x - z|^(1-2s)
-    absorbed is h_x h_z wq wu ell^(1-2s), the Jacobi weight in xi carrying
-    xi^(1-2s) and the Duffy Jacobian xi.
+    on the element lengths.  On triangle 0 (rho_z <= rho_x) rho_x = xi and
+    rho_z = xi * tau, on triangle 1 the roles swap, with the radial rule
+    (xi, wq) returned here and tau on the angular rule (tu, wu) =
+    _rule01(n).  For lengths h_x, h_z the distance is |x - z| = xi * ell
+    with ell = _adjacent_lengths(tu, h_x, h_z), and the weight with
+    |x - z|^(1-2s) absorbed is h_x h_z wq wu ell^(1-2s), the Jacobi weight
+    in xi carrying xi^(1-2s) and the Duffy Jacobian xi.
     """
-    xi, wq = _jacobi01(n, 2.0 - 2.0 * s, 0.0)
-    tu, wu = _rule01(n)
-    radial = np.broadcast_to(xi[:, None], (n, n))
-    angular = xi[:, None] * tu[None, :]
-    rho_x = np.stack((radial, angular))
-    rho_z = np.stack((angular, radial))
-    return rho_x, rho_z, xi, wq
+    return _jacobi01(n, 2.0 - 2.0 * s, 0.0)
 
 
 def _adjacent_lengths(tu, hx, hz):

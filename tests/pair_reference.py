@@ -41,8 +41,13 @@ def pair_quadrature(s, n, elements):
         return a1 + hx * x, a1 + hx * z, hx ** (3.0 - 2.0 * s) * np.tile(w, 2)
     if gap == 0:
         v, sx, sz = (b1, -1.0, 1.0) if b1 == a2 else (a1, 1.0, -1.0)
-        rho_x, rho_z, xi, wq = _adjacent_scheme(s, n)
+        xi, wq = _adjacent_scheme(s, n)
         tu, wu = _rule01(n)
+        # (triangle, xi, tau): rho_x = xi and rho_z = xi tau on triangle 0
+        radial = np.broadcast_to(xi[:, None], (n, n))
+        angular = xi[:, None] * tu[None, :]
+        rho_x = np.stack((radial, angular))
+        rho_z = np.stack((angular, radial))
         ell = _adjacent_lengths(tu, hx, hz)
         w = (hx * hz * wq[None, :, None]
              * (wu * ell ** (1.0 - 2.0 * s))[:, None, :])

@@ -154,27 +154,17 @@ def test_vertex_dofs_shared_and_endpoints_constrained():
             assert dm.table[e, :p + 1].tolist() == want
             off += p
         assert dm.n_dofs == off - 1
-        # the padded table: dofs(es) stacks the rows of elements es, and
-        # every entry past an element's degree is -1
+        # the padded table: elements es of degree p read table[es, :p + 1],
+        # whose only -1 are the two endpoints, and every entry past an
+        # element's degree is -1
         for p in np.unique(dm.degrees).tolist():
             es = np.flatnonzero(dm.degrees == p)
-            np.testing.assert_array_equal(dm.dofs(es), dm.table[es, :p + 1])
+            rows = dm.table[es, :p + 1]
+            assert (rows == -1).sum() == np.isin(es, [0, ne - 1]).sum()
             assert (dm.table[es, p + 1:] == -1).all()
         np.testing.assert_array_equal(dm.lo, mesh.nodes[:-1])
         np.testing.assert_array_equal(dm.hi, mesh.nodes[1:])
         np.testing.assert_array_equal(dm.h, dm.hi - dm.lo)
-
-
-def test_dofs_rejects_mixed_degrees():
-    # reduced(4), L = 3: element 0 has degree 1 and element 1 degree 4, so
-    # one stacked array cannot hold both rows without truncating row 1
-    mesh = build_geometric_mesh((-1, 1), 0.5, 3)
-    dm = build_dof_map(mesh, DegreeRule.reduced(4))
-    assert dm.table[1, :5].tolist() == [0, 1, 2, 3, 4]
-    with pytest.raises(ValueError, match=r"degrees \[1, 4\]"):
-        dm.dofs([0, 1])
-    assert dm.dofs([1, 2]).tolist() == [[0, 1, 2, 3, 4], [4, 5, 6, 7, 8]]
-    assert dm.dofs([0]).tolist() == [[-1, 0]]
 
 
 @pytest.mark.parametrize(

@@ -220,3 +220,9 @@ def test_degenerate_mesh_exit_codes(capsys):
         assert run(["solve", "--sigma", "0.17", "--levels", "22"]) == 3
         err = capsys.readouterr().err
         assert "s=0.5, L=22" in err and "sigma=0.17 with L=22" in err
+        # the study meets it in the set-up it shares across s, after
+        # L = 1..21 have solved
+        assert run(["convergence", "--sigma", "0.17", "--levels", "22"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "s=0.5, L=22" in err and "sigma=0.17 with L=22" in err

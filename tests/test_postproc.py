@@ -197,6 +197,47 @@ def test_study_record_layout():
         assert r.wall_seconds >= 0
 
 
+@pytest.mark.parametrize("kind", ["uniform", "reduced"])
+def test_study_records_equal_single_solves(kind):
+    # the study shares each L's mesh, dof map, load and assembly plan
+    # across s; every record still equals the one-off solve to the last bit
+    recs = convergence_study([0.3, 0.5, 0.7], 0.6, 6, kind)
+    assert [(r.s, r.L) for r in recs] == [
+        (s, L) for s in (0.3, 0.5, 0.7) for L in range(1, 7)]
+    for r in recs:
+        alone = solve_record(r.s, 0.6, r.L, kind)[0]
+        assert replace(r, wall_seconds=0.0) == replace(alone, wall_seconds=0.0)
+
+
+def test_study_builds_each_mesh_once(monkeypatch):
+    real = frachp.postproc.build_dof_map
+    built = []
+
+    def counted(mesh, rule):
+        built.append(rule.p)
+        return real(mesh, rule)
+
+    monkeypatch.setattr(frachp.postproc, "build_dof_map", counted)
+    assert len(convergence_study([0.3, 0.5, 0.7], 0.6, 4, "uniform")) == 12
+    assert built == [1, 2, 3, 4]
+
+
+def test_study_names_the_lowest_failing_level(monkeypatch):
+    # s = 0.7 fails from L = 2 (N = 11) and s = 0.3 from L = 3 (N = 23):
+    # the study runs the levels in order, each for every s, so it stops at
+    # (0.7, 2)
+    real = frachp.postproc.energy_error
+
+    def failing(system, sol, s):
+        if system.n >= {0.3: 23, 0.7: 11}.get(s, system.n + 1):
+            raise EnergyGapError("planted")
+        return real(system, sol, s)
+
+    monkeypatch.setattr(frachp.postproc, "energy_error", failing)
+    with pytest.raises(RuntimeError, match=r"s=0\.7, L=2: planted"):
+        convergence_study([0.3, 0.5, 0.7], 0.6, 4, "uniform")
+
+
 def test_study_single_level():
     recs = convergence_study([0.5], 0.6, 1, "reduced")
     assert len(recs) == 1
