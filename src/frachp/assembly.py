@@ -74,12 +74,13 @@ exactly persymmetric.  Any other map builds every block.
 assemble(dofmap, s, quad_offset=6) runs in two stages.  _plan(dofmap,
 quad_offset) does the work that depends on the mesh alone: the checks, the
 mirror decision, and per pair class the kept pairs with their points,
-h-products, endpoint distances and dof rows.  _pass(plan, s) does the rest
-at one s: the reference blocks, the kernel powers, the products, the
-scatters and the final mirror.  A study of several s on one dof map builds
-the plan once.  assemble_load(f, dofmap, quad_offset=6) and both stages
-read the element bounds, lengths, degrees and dof rows from the element
-table of the dof map, which also carries the mesh.
+h-products, endpoint distances and dof rows.  _pass(plan, s, load) does the
+rest at one s: the reference blocks, the kernel powers, the products, the
+scatters and the final mirror, and puts the caller's load beside A.  A
+study of several s on one dof map builds the plan and the load once.
+assemble_load(f, dofmap, quad_offset=6) and both stages read the element
+bounds, lengths, degrees and dof rows from the element table of the dof
+map, which also carries the mesh.
 """
 
 from __future__ import annotations
@@ -523,9 +524,9 @@ def _plan(dofmap, quad_offset):
                  _element_plan(dofmap, quad_offset, limit))
 
 
-def _pass(plan, s):
-    """The stiffness matrix at s on a _plan: the reference blocks, the
-    kernel powers, the products, the scatters and the final mirror."""
+def _pass(plan, s, load):
+    """The system at s on a _plan with the given load: the reference blocks,
+    the kernel powers, the products, the scatters and the final mirror."""
     s = _check_s(s)
     dm, N = plan.dofmap, plan.dofmap.n_dofs
     reference = _reference_blocks(dm, s, plan.quad_offset)
@@ -538,7 +539,7 @@ def _pass(plan, s):
     sums = _disjoint_blocks(work, plan.disjoint, s, ne)
     _element_blocks(work, plan.elements, s, sums, reference, ne - 1)
     A = _symmetric_in_place(work, 0.5 * kernel_constant(s), plan.mirror)
-    return GalerkinSystem(stiffness=A, load=np.zeros(N), s=s)
+    return GalerkinSystem(stiffness=A, load=load, s=s)
 
 
 def assemble(dofmap, s, quad_offset=6):
@@ -549,7 +550,7 @@ def assemble(dofmap, s, quad_offset=6):
     dataclasses.replace(system, load=...).  The dof table must ascend left
     to right (ValueError otherwise), as build_dof_map numbers it.
     """
-    return _pass(_plan(dofmap, quad_offset), s)
+    return _pass(_plan(dofmap, quad_offset), s, np.zeros(dofmap.n_dofs))
 
 
 def assemble_load(f, dofmap, quad_offset=6):

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _pass, _plan, assemble, assemble_load
+from .assembly import _pass, _plan, assemble_load
 from .basis import DegreeRule, build_dof_map
 from .geomesh import build_geometric_mesh
 from .linsolve import cholesky_solve
@@ -106,18 +106,29 @@ class ConvergenceRecord:
     wall_seconds: float
 
 
+def _level(sigma, L, rule, quad_offset):
+    """The set-up of one level, shared by every s: its dof map, the
+    read-only f = 1 load and the assembly plan."""
+    dofmap = build_dof_map(build_geometric_mesh((-1.0, 1.0), sigma, L), rule)
+    load = assemble_load(np.ones_like, dofmap, quad_offset=quad_offset)
+    load.flags.writeable = False
+    return dofmap, load, _plan(dofmap, quad_offset)
+
+
+def _solve(plan, load, s):
+    """The system at s on a level's plan and load, and its solution."""
+    system = _pass(plan, s, load)
+    return system, cholesky_solve(system)
+
+
 def solve_problem(s, sigma, L, rule, quad_offset=6):
     """Assemble and solve the f = 1 benchmark on (-1, 1).
 
-    Returns (mesh, dofmap, system, solution).
+    Returns (mesh, dofmap, system, solution); the system's load is
+    read-only.
     """
-    mesh = build_geometric_mesh((-1.0, 1.0), sigma, L)
-    dofmap = build_dof_map(mesh, rule)
-    system = assemble(dofmap, s, quad_offset=quad_offset)
-    system = replace(system, load=assemble_load(
-        np.ones_like, dofmap, quad_offset=quad_offset))
-    sol = cholesky_solve(system)
-    return mesh, dofmap, system, sol
+    dofmap, load, plan = _level(sigma, L, rule, quad_offset)
+    return (dofmap.mesh, dofmap) + _solve(plan, load, s)
 
 
 @contextmanager
@@ -175,18 +186,12 @@ def convergence_study(s_list, sigma, L_max, rule_kind, quad_offset=6):
         rule = DegreeRule(rule_kind, L)
         start = time.perf_counter()
         with _naming(s_list[0], L):
-            dofmap = build_dof_map(
-                build_geometric_mesh((-1.0, 1.0), sigma, L), rule)
-            load = assemble_load(np.ones_like, dofmap,
-                                 quad_offset=quad_offset)
-            load.flags.writeable = False
-            plan = _plan(dofmap, quad_offset)
+            _, load, plan = _level(sigma, L, rule, quad_offset)
         setup = time.perf_counter() - start
         for s, row in zip(s_list, rows):
             start = time.perf_counter()
             with _naming(s, L):
-                system = replace(_pass(plan, s), load=load)
-                sol = cholesky_solve(system)
+                system, sol = _solve(plan, load, s)
                 wall = setup + time.perf_counter() - start
                 row.append(_record(s, sigma, rule, system, sol, wall))
             del system, sol  # free this matrix before the next is built
