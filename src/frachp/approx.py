@@ -108,8 +108,8 @@ def endpoint_interpolation_check(v, dv, d2v, beta_prime, epsilon):
     """
     if not 0.0 <= beta_prime < 1.0:
         raise ValueError(f"beta_prime must lie in [0, 1), got {beta_prime}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     bp, eps = beta_prime, epsilon
     # the linear interpolant of v at 0 and 1 is v0 + x * slope
     v0 = float(v(0.0))

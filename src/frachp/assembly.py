@@ -10,14 +10,16 @@ term carrying the complement weight kappa:
              = ((x-a)^(-2s) + (b-x)^(-2s)) / (2s).
 
 kappa is available in closed form, so no unbounded-domain quadrature is
-needed.  The double integral runs over element pairs i <= j (twice for
-i < j) with the schemes of the quadrature module, batched per pair class:
+needed.  The integrand is symmetric in x and z, so a = C(s) W, where W sums
+the double integral over unordered element pairs, each pair once (an
+element with itself on its triangle z < x), and adds int_O u v kappa.  The
+pairs of W are computed with the schemes of the quadrature module, batched
+per pair class:
 
 * identical pairs T x T: h^(1-2s) times one reference block per degree,
   whose rows are divided differences on the reference element, each taken
   exactly as the mean of the shapes' derivative along its segment, so no
-  difference of nearby values is divided by their distance; these are
-  symmetric in x and z, so the block is twice that of the triangle z < x;
+  difference of nearby values is divided by their distance;
 * adjacent pairs T_e x T_e+1: the points are distances from the shared
   vertex normalised per element, so one shape table serves each degree
   pair; a pair only contributes its weights in the angular Duffy variable,
@@ -28,7 +30,7 @@ i < j) with the schemes of the quadrature module, batched per pair class:
 * disjoint pairs T_i x T_j, j >= i + 2: on the tensor Gauss-Legendre rule,
   with K = |x_a - z_b|^(-1-2s) and the Gauss weights w folded into the
   shape tables S, which depend on neither the element nor s and are cached
-  across calls, the cross block is -2 h_i h_j (S_x w) K (S_z w)^T and the
+  across calls, the cross block is -h_i h_j (S_x w) K (S_z w)^T and the
   self terms are h_i h_j w K w and h_i h_j w K^T w.  Pairs are batched over
   the whole mesh per degree pair (p_i, p_j) and point count n, in chunks
   of a fixed number of kernel entries; each chunk scatters its cross
@@ -52,7 +54,7 @@ The dofs are numbered left to right, so every disjoint cross block lies in
 the upper triangle and is scattered once, unmirrored; of the symmetric
 adjacent blocks, once per degree pair, and the elements' own blocks, once
 per degree, only the local upper triangle is scattered, which lands in the
-upper triangle too.  The upper triangle is then scaled by C(s)/2 and
+upper triangle too.  The upper triangle, W's, is then scaled by C(s) and
 mirrored inside the work array, tile by tile, its rows moved forward to
 stride N, so that the first N^2 entries are the contiguous result: the
 assembly allocates no second N x N array.  The Gauss-Jacobi rules of the
@@ -76,8 +78,9 @@ quad_offset) does the work that depends on the mesh alone: the checks, the
 mirror decision, and per pair class the kept pairs with their points,
 h-products, endpoint distances and dof rows.  _pass(plan, s, load) does the
 rest at one s: the reference blocks, the kernel powers, the products, the
-scatters and the final mirror, and puts the caller's load beside A.  A
-study of several s on one dof map builds the plan and the load once.
+scatters and the final mirror, and puts the caller's load beside A, both
+marked read-only.  A study of several s on one dof map builds the plan
+and the load once.
 assemble_load(f, dofmap, quad_offset=6) and both stages read the element
 bounds, lengths, degrees and dof rows from the element table of the dof
 map, which also carries the mesh.
@@ -217,7 +220,7 @@ def _adjacent_table(xi, wq, tu, pi, pj):
 
 def _adjacent_plan(dm, quad_offset, limit):
     """T_e x T_e+1 per degree pair (pi, pj), for the pairs whose first
-    dof, twice, is at most limit: (pi, pj, 2 h_x h_z wu, ell, dofs), with
+    dof, twice, is at most limit: (pi, pj, h_x h_z wu, ell, dofs), with
     the angular lengths ell of _adjacent_lengths on the angular rule
     (tu, wu) and the dof rows with the shared vertex merged."""
     kept = np.flatnonzero(2 * dm.table[:-1, 0] <= limit)
@@ -229,16 +232,15 @@ def _adjacent_plan(dm, quad_offset, limit):
         hx, hz = dm.h[es, None], dm.h[es + 1, None]
         g = np.concatenate((dm.table[es, :pi], dm.table[es + 1, :pj + 1]),
                            axis=1)
-        groups.append((pi, pj, 2.0 * hx[:, None] * hz[:, None] * wu,
+        groups.append((pi, pj, hx[:, None] * hz[:, None] * wu,
                        _adjacent_lengths(tu, hx, hz), g))
     return groups
 
 
 def _adjacent_blocks(groups, s):
-    """T_e x T_e+1, twice (for the mirrored pair), per degree pair of
-    _adjacent_plan, as (dofs, blocks) pairs for _scatter_upper.  Called
-    before the work array is allocated, so that the table and its
-    temporaries are never live beside it.
+    """T_e x T_e+1 per degree pair of _adjacent_plan, as (dofs, blocks)
+    pairs for _scatter_upper.  Called before the work array is allocated,
+    so that the table and its temporaries are never live beside it.
 
     The weight of a point factors into a radial part wq / xi^2, held in the
     table, and a per-pair part h_x h_z wu ell^(-1-2s) in the angular
@@ -258,7 +260,7 @@ def _adjacent_blocks(groups, s):
 def _disjoint_plan(dm, quad_offset, limit):
     """T_i x T_j for j >= i + 2, for the pairs whose first dofs sum to at
     most limit, batched over the whole mesh per degree pair (p, q) and
-    point count n: (p, q, h_i h_j w, -2 h_i h_j, x, z, rows, cols, chunks),
+    point count n: (p, q, h_i h_j w, -h_i h_j, x, z, rows, cols, chunks),
     with the Gauss weights w, the Gauss points x of T_i and z of T_j, the
     dof rows of T_i as flat row offsets into the work array and those of
     T_j, and per chunk of _CHUNK kernel entries its slice of the batch, its
@@ -286,7 +288,7 @@ def _disjoint_plan(dm, quad_offset, limit):
             ix, jz, f = ig[b], jg[b], fg[b]
             own = np.concatenate((ix, ne - 1 - ix[f], jz, ne - 1 - jz[f]))
             chunks.append((b, f, own[:, None] * nq))
-        groups.append((p, q, hh[:, None] * wt, -2.0 * hh[:, None, None],
+        groups.append((p, q, hh[:, None] * wt, -hh[:, None, None],
                        dm.lo[ig, None] + dm.h[ig, None] * t,
                        dm.lo[jg, None] + dm.h[jg, None] * t,
                        dm.table[ig, :p + 1][:, :, None] * (dm.n_dofs + 1),
@@ -295,8 +297,8 @@ def _disjoint_plan(dm, quad_offset, limit):
 
 
 def _disjoint_blocks(A, groups, s, ne):
-    """T_i x T_j for j >= i + 2, twice, per batch and chunk of
-    _disjoint_plan, on a mesh of ne elements.
+    """T_i x T_j for j >= i + 2 per batch and chunk of _disjoint_plan, on
+    a mesh of ne elements.
 
     On a tensor Gauss rule with K_ab = |x_a - z_b|^(-1-2s) the block factors
     into h_i h_j times S_x diag(w K w) S_x^T, -(S_x w) K (S_z w)^T (and its
@@ -341,23 +343,25 @@ def _divided_differences(p, tx, tz):
     return _diff_matrix(p).T @ mean
 
 
-def _reference_blocks(dm, s, quad_offset):
+def _reference_blocks(groups, s, last):
     """The reference blocks sum_q w_q r_k r_l of the exact divided-difference
-    rows r on (0, 1), on (p + quad_offset)-point rules: identical[p] for
-    each degree p of dm, with r against tz on the triangle z < x of the
-    identical scheme, and endpoint[p] for the degree of each boundary
-    element, with r against the endpoint 0 under the Gauss-Jacobi weight
-    r^(2-2s), divided by 2s.  Called before the work array is allocated, so
-    that the shape values of the segment rule are never live beside it."""
+    rows r on (0, 1), on the point count of each degree's group of
+    _element_plan: identical[p], with r against tz on the triangle z < x of
+    the identical scheme, and, for a group that holds element 0 or the last
+    element, endpoint[p], with r against the endpoint 0 under the
+    Gauss-Jacobi weight r^(2-2s), divided by 2s.  Called before the work
+    array is allocated, so that the shape values of the segment rule are
+    never live beside it."""
     identical, endpoint = {}, {}
-    for p in set(dm.degrees.tolist()):
-        tx, tz, w = _identical_scheme(s, p + quad_offset)
+    for p, es, _, wh, *_ in groups:
+        n = wh.shape[1]
+        tx, tz, w = _identical_scheme(s, n)
         rows = _divided_differences(p, tx, tz)
         identical[p] = (rows * w) @ rows.T
-    for p in {int(dm.degrees[0]), int(dm.degrees[-1])}:
-        r, w = _jacobi01(p + quad_offset, 2.0 - 2.0 * s, 0.0)
-        rows = _divided_differences(p, r, 0.0)
-        endpoint[p] = (rows * w) @ rows.T / (2.0 * s)
+        if es[0] == 0 or es[-1] == last:
+            r, w = _jacobi01(n, 2.0 - 2.0 * s, 0.0)
+            rows = _divided_differences(p, r, 0.0)
+            endpoint[p] = (rows * w) @ rows.T / (2.0 * s)
     return identical, endpoint
 
 
@@ -386,21 +390,21 @@ def _element_plan(dm, quad_offset, limit):
 
 
 def _element_blocks(A, groups, s, sums, reference, last):
-    """Each element's own block, twice, scattered once per degree of
+    """Each element's own block, scattered once per degree of
     _element_plan, last being the index of the last element: the identical
     pair T x T, S_n diag(weights) S_n^T for each point count n, and the
     near-endpoint term of kappa on the two boundary elements.
 
     The singular terms are h^(1-2s) times the reference blocks
     (identical, endpoint) of _reference_blocks, whose rows are exact
-    divided differences on the reference element.  Those of the identical
-    pair are symmetric in x and z, so the factor 2 also counts the triangle
-    z > x.  The near-endpoint block is endpoint[p] on element 0 and, as
-    the last element sees its shapes at the mirrored points 1 - r, where
-    they are those at r reversed, endpoint[p][::-1, ::-1] on the last.  The
-    weights are kappa h w at the plan's points (without the near-endpoint
-    term of the two boundary elements), plus the self sums of the disjoint
-    pairs at their own point counts.
+    divided differences on the reference element, those of the identical
+    pair on its triangle z < x.  The near-endpoint block is endpoint[p] on
+    element 0 and, as the last element sees its shapes at the mirrored
+    points 1 - r, where they are those at r reversed,
+    endpoint[p][::-1, ::-1] on the last.  The weights are kappa h w at the
+    plan's points (without the near-endpoint term of the two boundary
+    elements), plus the self sums of the disjoint pairs at their own point
+    counts.
     """
     two_s = 2.0 * s
     identical, endpoint = reference
@@ -417,7 +421,7 @@ def _element_blocks(A, groups, s, sums, reference, last):
             blocks[0] += h[0, 0] ** (1.0 - two_s) * endpoint[p]
         if es[-1] == last:
             blocks[-1] += h[-1, 0] ** (1.0 - two_s) * endpoint[p][::-1, ::-1]
-        _scatter_upper(A, g, 2.0 * blocks)
+        _scatter_upper(A, g, blocks)
 
 
 def _check_ascending(dm):
@@ -499,7 +503,6 @@ class _Plan:
     alone, built once by _plan and read by _pass for every s."""
 
     dofmap: object
-    quad_offset: int
     mirror: bool
     adjacent: list
     disjoint: list
@@ -518,7 +521,7 @@ def _plan(dofmap, quad_offset):
     # a block is built when its first row and column dofs sum to at most
     # limit: on a mirror image, when it reaches an entry r + c <= N - 1
     limit = N - 1 if mirror else 2 * N
-    return _Plan(dofmap, quad_offset, mirror,
+    return _Plan(dofmap, mirror,
                  _adjacent_plan(dofmap, quad_offset, limit),
                  _disjoint_plan(dofmap, quad_offset, limit),
                  _element_plan(dofmap, quad_offset, limit))
@@ -529,16 +532,17 @@ def _pass(plan, s, load):
     the kernel powers, the products, the scatters and the final mirror."""
     s = _check_s(s)
     dm, N = plan.dofmap, plan.dofmap.n_dofs
-    reference = _reference_blocks(dm, s, plan.quad_offset)
+    ne = len(dm.h)
+    reference = _reference_blocks(plan.elements, s, ne - 1)
     adjacent = _adjacent_blocks(plan.adjacent, s)
     work = np.zeros((N + 1, N + 1))  # row and column N take dropped entries
     for g, blocks in adjacent:
         _scatter_upper(work, g, blocks)
     del adjacent
-    ne = len(dm.h)
     sums = _disjoint_blocks(work, plan.disjoint, s, ne)
     _element_blocks(work, plan.elements, s, sums, reference, ne - 1)
-    A = _symmetric_in_place(work, 0.5 * kernel_constant(s), plan.mirror)
+    A = _symmetric_in_place(work, kernel_constant(s), plan.mirror)
+    A.flags.writeable = load.flags.writeable = False
     return GalerkinSystem(stiffness=A, load=load, s=s)
 
 

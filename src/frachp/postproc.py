@@ -107,11 +107,11 @@ class ConvergenceRecord:
 
 
 def _level(sigma, L, rule, quad_offset):
-    """The set-up of one level, shared by every s: its dof map, the
-    read-only f = 1 load and the assembly plan."""
+    """The set-up of one level, shared by every s: its dof map, the f = 1
+    load, which the first stiffness pass marks read-only, and the assembly
+    plan."""
     dofmap = build_dof_map(build_geometric_mesh((-1.0, 1.0), sigma, L), rule)
     load = assemble_load(np.ones_like, dofmap, quad_offset=quad_offset)
-    load.flags.writeable = False
     return dofmap, load, _plan(dofmap, quad_offset)
 
 
@@ -124,8 +124,8 @@ def _solve(plan, load, s):
 def solve_problem(s, sigma, L, rule, quad_offset=6):
     """Assemble and solve the f = 1 benchmark on (-1, 1).
 
-    Returns (mesh, dofmap, system, solution); the system's load is
-    read-only.
+    Returns (mesh, dofmap, system, solution); the system's stiffness and
+    load are read-only.
     """
     dofmap, load, plan = _level(sigma, L, rule, quad_offset)
     return (dofmap.mesh, dofmap) + _solve(plan, load, s)

@@ -76,8 +76,6 @@ def _jacobi01(n, exp0, exp1):
     if not (exp0 > -1.0 and exp1 > -1.0):
         raise ValueError(
             f"weight exponents must exceed -1, got {exp0} and {exp1}")
-    if exp0 == 0.0 and exp1 == 0.0:
-        return _rule01(n)
     if n <= _EIGH_MAX:
         t, wt = _golub_welsch(n, exp0, exp1)
     else:

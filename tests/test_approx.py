@@ -25,10 +25,13 @@ ZEROS = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 
 
 def test_weighted_norm_spec_validation():
-    # beta' outside [0, 1) and a nonpositive epsilon are refused
+    # beta' outside [0, 1) and a nonpositive or non-finite epsilon are
+    # refused
     for bp, eps, msg in ((1.0, 0.05, "beta_prime must lie in"),
                          (-0.1, 0.05, "beta_prime must lie in"),
-                         (0.3, 0.0, "epsilon must be positive")):
+                         (0.3, 0.0, "epsilon must be positive"),
+                         (0.3, math.nan, "epsilon must be positive"),
+                         (0.3, math.inf, "epsilon must be positive")):
         with pytest.raises(ValueError, match=msg):
             endpoint_interpolation_check(ZEROS, ZEROS, ZEROS, bp, eps)
 

@@ -449,7 +449,8 @@ def test_boundary_complement_blocks_converged_at_deep_L(s):
     for offset in (6, 30):
         # the Jacobi block of the near endpoint, as _element_blocks takes
         # it at each end, plus the Gauss block of the far one
-        _, endpoint = assembly_mod._reference_blocks(dm, s, offset)
+        _, endpoint = assembly_mod._reference_blocks(
+            assembly_mod._plan(dm, offset).elements, s, len(dm.h) - 1)
         near = endpoint[24]
         blocks.append({e: dm.h[e] ** (1.0 - 2.0 * s) * block
                        + complement_block(dm, s, e, offset)
@@ -707,6 +708,19 @@ def test_galerkin_system_is_frozen():
     system = assemble(build_dof_map(mesh, DegreeRule.uniform(1)), 0.5)
     with pytest.raises(FrozenInstanceError):
         system.load = np.ones(system.n)
+
+
+def test_assembled_system_is_read_only():
+    # the stiffness and load of either entry point refuse writes, so no
+    # caller can change a system that a solve has already checked
+    dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, 2),
+                       DegreeRule.uniform(2))
+    systems = (assemble(dm, 0.5), solve_problem(0.5, 0.6, 2,
+                                                 DegreeRule.uniform(2))[2])
+    for system in systems:
+        for array in (system.stiffness, system.load):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 def test_galerkin_identity_after_solve():
