@@ -18,6 +18,6 @@ from .geomesh import GeometricMesh, build_geometric_mesh, element_of
 from .linsolve import NotSPDError, Solution, cholesky_solve
 from .postproc import (ConvergenceRecord, EnergyGapError, convergence_study,
                        energy_error, exact_energy, exact_solution,
-                       records_to_csv, solve_problem)
+                       solve_problem)
 
 __version__ = "0.1.0"

@@ -14,7 +14,8 @@ from .geomesh import build_geometric_mesh
 
 __all__ = ["run", "main"]
 
-CONVERGENCE_HEADER = postproc.CSV_HEADER + ",guide_uniform,guide_reduced"
+_RECORD_HEADER = "s,sigma,L,rule,N,energy_error,discrete_energy,wall_ms"
+CONVERGENCE_HEADER = _RECORD_HEADER + ",guide_uniform,guide_reduced"
 INTERP_HEADER = "p,L,sigma,s,weighted_error"
 
 
@@ -108,17 +109,28 @@ def _write(text, path):
             fh.write(text)
 
 
+def _write_csv(header, rows, path):
+    """The header, then one line per row: floats at 17 significant digits,
+    other values as str."""
+    lines = [header] + [",".join(f"{v:.17g}" if isinstance(v, float)
+                                 else str(v) for v in row) for row in rows]
+    _write("\n".join(lines) + "\n", path)
+
+
+def _fields(r):
+    """The _RECORD_HEADER values of one study record."""
+    return (r.s, r.sigma, r.L, r.degree_rule.kind, r.N, r.energy_error,
+            r.discrete_energy, r.wall_seconds * 1e3)
+
+
 def _cmd_convergence(args):
     records = postproc.convergence_study(
         args.s, args.sigma, args.levels, args.rule,
         quad_offset=args.quad_offset)
-    lines = [CONVERGENCE_HEADER]
-    for r in records:
-        guide_u = 2.0 * args.sigma ** (r.L / 2.0) / r.L
-        guide_r = 0.22 * args.sigma ** (r.L / 2.0)
-        lines.append(",".join(postproc.record_fields(r)
-                              + [f"{guide_u:.17g}", f"{guide_r:.17g}"]))
-    _write("\n".join(lines) + "\n", args.out)
+    _write_csv(CONVERGENCE_HEADER, [
+        _fields(r) + (2.0 * args.sigma ** (r.L / 2.0) / r.L,
+                      0.22 * args.sigma ** (r.L / 2.0)) for r in records],
+        args.out)
     return 0
 
 
@@ -129,7 +141,7 @@ def _cmd_solve(args):
     record, system = postproc.solve_record(
         args.s[0], args.sigma, args.levels, args.rule,
         quad_offset=args.quad_offset)
-    _write(postproc.records_to_csv([record]), args.out)
+    _write_csv(_RECORD_HEADER, [_fields(record)], args.out)
     if args.dump_matrix is not None:
         np.savetxt(args.dump_matrix + "_A.csv", system.stiffness,
                    delimiter=",", fmt="%.17g")
@@ -142,12 +154,9 @@ def _cmd_interp_study(args):
         if not 0.0 < 1.0 - s - args.eps_prime < 1.0:
             args.error(f"argument --eps-prime: beta' = 1 - s - eps_prime = "
                        f"{1.0 - s - args.eps_prime} not in (0, 1) at s={s}")
-    lines = [INTERP_HEADER]
-    for s in args.s:
-        for p, L, sigma, s_val, err in approx.interpolation_error_study(
-                s, args.sigma, args.levels, args.eps_prime):
-            lines.append(f"{p},{L},{sigma:.17g},{s_val:.17g},{err:.17g}")
-    _write("\n".join(lines) + "\n", args.out)
+    _write_csv(INTERP_HEADER, [
+        row for s in args.s for row in approx.interpolation_error_study(
+            s, args.sigma, args.levels, args.eps_prime)], args.out)
     return 0
 
 

@@ -1,5 +1,11 @@
 """Benchmark solution, energy-norm error, and the convergence-study driver.
 
+One timed loop serves every study point: for each level L it sets the
+level up once (mesh, dof map, f = 1 load, assembly plan), then for each s
+runs the stiffness pass and solve and records the point.
+convergence_study runs it over L = 1..L_max, solve_record at one L and
+one s.  Writing the records as CSV is the command line's job.
+
 The benchmark is the homogeneous Dirichlet problem on (-1, 1) with f = 1,
 whose solution is u(x) = c_s (1 - x^2)^s with
 c_s = 2^(-2s) sqrt(pi) / (Gamma(s+1/2) Gamma(1+s)).  Its energy
@@ -28,10 +34,7 @@ from .quadrature import _check_s
 
 __all__ = ["ConvergenceRecord", "EnergyGapError", "exact_solution",
            "exact_energy", "energy_error", "solve_problem", "solve_record",
-           "convergence_study", "record_fields", "records_to_csv",
-           "CSV_HEADER"]
-
-CSV_HEADER = "s,sigma,L,rule,N,energy_error,discrete_energy,wall_ms"
+           "convergence_study"]
 
 
 def solution_constant(s):
@@ -46,7 +49,6 @@ def exact_solution(s):
 
     u(x) = c_s (1 - x^2)^s, zero at x = +-1.
     """
-    _check_s(s)
     c = solution_constant(s)
 
     def u(x):
@@ -141,12 +143,36 @@ def _naming(s, L):
         raise RuntimeError(f"solve failed at s={s}, L={L}: {exc}") from exc
 
 
-def _record(s, sigma, rule, system, sol, wall):
-    """The study point of a solve at s with p = L, its error included."""
-    return ConvergenceRecord(
-        s=float(s), sigma=float(sigma), L=rule.p, degree_rule=rule,
-        N=system.n, energy_error=energy_error(system, sol, s),
-        discrete_energy=sol.energy, wall_seconds=wall)
+def _sweep(s_list, sigma, levels, rule_kind, quad_offset):
+    """The timed study loop that solve_record and convergence_study share.
+
+    Checks every s first.  For each L of levels it sets the level up once
+    (mesh, dof map, f = 1 load, assembly plan) and, for each s, runs the
+    stiffness pass and solve and records the point with p = L; wall_seconds
+    is the level's set-up plus the point's own pass and solve, without the
+    error evaluation.  A failure is raised as a RuntimeError naming (s, L),
+    one of the set-up naming the first s.  Returns the records, one list per
+    s, and the last system; each system is freed before the next is built.
+    """
+    s_list = [_check_s(s) for s in s_list]
+    rows, system = [[] for _ in s_list], None
+    for L in levels if s_list else ():
+        rule = DegreeRule(rule_kind, L)
+        start = time.perf_counter()
+        with _naming(s_list[0], L):
+            _, load, plan = _level(sigma, L, rule, quad_offset)
+        setup = time.perf_counter() - start
+        for s, row in zip(s_list, rows):
+            system = sol = None  # free this matrix before the next is built
+            start = time.perf_counter()
+            with _naming(s, L):
+                system, sol = _solve(plan, load, s)
+                wall = setup + time.perf_counter() - start
+                row.append(ConvergenceRecord(
+                    s=s, sigma=float(sigma), L=L, degree_rule=rule,
+                    N=system.n, energy_error=energy_error(system, sol, s),
+                    discrete_energy=sol.energy, wall_seconds=wall))
+    return rows, system
 
 
 def solve_record(s, sigma, L, rule_kind, quad_offset=6):
@@ -155,14 +181,8 @@ def solve_record(s, sigma, L, rule_kind, quad_offset=6):
     Returns (record, system).  A failure of the solve, an EnergyGapError
     included, is raised as a RuntimeError naming (s, L).
     """
-    _check_s(s)
-    rule = DegreeRule(rule_kind, L)
-    start = time.perf_counter()
-    with _naming(s, L):
-        _, _, system, sol = solve_problem(s, sigma, L, rule,
-                                          quad_offset=quad_offset)
-        wall = time.perf_counter() - start
-        return _record(s, sigma, rule, system, sol, wall), system
+    rows, system = _sweep([s], sigma, [L], rule_kind, quad_offset)
+    return rows[0][0], system
 
 
 def convergence_study(s_list, sigma, L_max, rule_kind, quad_offset=6):
@@ -178,35 +198,6 @@ def convergence_study(s_list, sigma, L_max, rule_kind, quad_offset=6):
     """
     if L_max < 1:
         raise ValueError(f"L_max must be >= 1, got {L_max}")
-    s_list = [_check_s(s) for s in s_list]
-    if not s_list:
-        return []
-    rows = [[] for _ in s_list]
-    for L in range(1, L_max + 1):
-        rule = DegreeRule(rule_kind, L)
-        start = time.perf_counter()
-        with _naming(s_list[0], L):
-            _, load, plan = _level(sigma, L, rule, quad_offset)
-        setup = time.perf_counter() - start
-        for s, row in zip(s_list, rows):
-            start = time.perf_counter()
-            with _naming(s, L):
-                system, sol = _solve(plan, load, s)
-                wall = setup + time.perf_counter() - start
-                row.append(_record(s, sigma, rule, system, sol, wall))
-            del system, sol  # free this matrix before the next is built
+    rows, _ = _sweep(s_list, sigma, range(1, L_max + 1), rule_kind,
+                     quad_offset)
     return [record for row in rows for record in row]
-
-
-def record_fields(r):
-    """The CSV_HEADER fields of one record; floats carry 17 significant
-    digits."""
-    return [f"{r.s:.17g}", f"{r.sigma:.17g}", str(r.L), r.degree_rule.kind,
-            str(r.N), f"{r.energy_error:.17g}", f"{r.discrete_energy:.17g}",
-            f"{r.wall_seconds * 1e3:.17g}"]
-
-
-def records_to_csv(records):
-    """Serialize study records under CSV_HEADER."""
-    lines = [CSV_HEADER] + [",".join(record_fields(r)) for r in records]
-    return "\n".join(lines) + "\n"

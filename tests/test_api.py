@@ -18,6 +18,7 @@ REMOVED = {
     "assembly": ["complement_weight"],
     "basis": ["legendre_eval", "shape_eval", "shape_deriv",
               "eval_fem_derivative"],
+    "postproc": ["record_fields", "records_to_csv", "CSV_HEADER"],
 }
 
 

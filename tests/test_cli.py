@@ -73,14 +73,14 @@ def test_convergence_deterministic_output(tmp_path):
 
 
 def test_solve_and_matrix_dump(tmp_path, monkeypatch):
-    real = frachp.postproc.solve_problem
+    real = frachp.postproc._solve
     solved = []
 
     def counted(*args, **kwargs):
         solved.append(real(*args, **kwargs))
         return solved[-1]
 
-    monkeypatch.setattr(frachp.postproc, "solve_problem", counted)
+    monkeypatch.setattr(frachp.postproc, "_solve", counted)
     out = tmp_path / "solve.csv"
     prefix = tmp_path / "mat"
     assert run(["solve", "--s", "0.5", "--levels", "2", "--rule", "reduced",
@@ -94,9 +94,24 @@ def test_solve_and_matrix_dump(tmp_path, monkeypatch):
     np.testing.assert_allclose(A, A.T, atol=0)
     # one solve, and the dump is that solve's system to the last bit
     assert len(solved) == 1
-    system = solved[0][2]
+    system = solved[0][0]
     np.testing.assert_array_equal(A, system.stiffness)
     np.testing.assert_array_equal(b, system.load)
+
+
+def test_solve_csv_layout(capsys):
+    assert run(["solve", "--s", "0.5", "--levels", "1",
+                "--rule", "uniform"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == ("s,sigma,L,rule,N,energy_error,discrete_energy,"
+                        "wall_ms")
+    fields = lines[1].split(",")
+    assert len(fields) == 8
+    assert fields[0] == "0.5" and fields[2] == "1" and fields[3] == "uniform"
+    # 17 significant digits on the error column
+    record, _ = frachp.postproc.solve_record(0.5, 0.6, 1, "uniform")
+    assert float(fields[5]) == record.energy_error
+    assert len(fields[5].replace(".", "").replace("-", "").lstrip("0")) >= 16
 
 
 def test_solve_row_matches_last_convergence_row(tmp_path):
@@ -188,7 +203,7 @@ def test_zero_levels_rejected_except_for_mesh(capsys):
 def test_bad_argument_names_flag_before_any_work(argv, flag, capsys,
                                                  monkeypatch):
     calls = []
-    for module, name in ((frachp.postproc, "solve_problem"),
+    for module, name in ((frachp.postproc, "_level"),
                          (frachp.approx, "interpolant_weighted_error")):
         monkeypatch.setattr(module, name,
                             lambda *a, name=name, **k: calls.append(name))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,9 @@ from scipy import integrate
 import frachp.postproc
 from frachp import (DegreeRule, build_hp_interpolant, convergence_study,
                     energy_error, exact_energy, exact_solution,
-                    records_to_csv, solve_problem)
+                    solve_problem)
 from frachp.linsolve import Solution, cholesky_solve
-from frachp.postproc import CSV_HEADER, EnergyGapError, solve_record
+from frachp.postproc import EnergyGapError, solve_record
 from oracles import reflection_permutation
 
 # closed-form energies, frozen after verification against the adaptive
@@ -271,14 +272,16 @@ def test_study_rejects_bad_arguments():
         convergence_study([1.5], 0.6, 2, "uniform")
 
 
-def test_csv_layout():
-    recs = convergence_study([0.5], 0.6, 1, "uniform")
-    csv = records_to_csv(recs)
-    lines = csv.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    fields = lines[1].split(",")
-    assert len(fields) == 8
-    assert fields[0] == "0.5" and fields[2] == "1" and fields[3] == "uniform"
-    # 17 significant digits on the error column
-    assert float(fields[5]) == recs[0].energy_error
-    assert len(fields[5].replace(".", "").replace("-", "").lstrip("0")) >= 16
+def test_study_holds_one_stiffness_matrix_at_a_time():
+    # the peak reads 1.96 8N^2 (N = 311 at L = 12); a system kept alive
+    # while the next one is built read 2.97 8N^2
+    args = ([0.3, 0.5, 0.7], 0.6, 12, "uniform")
+    convergence_study(*args)  # warm the quadrature-rule caches
+    tracemalloc.start()
+    try:
+        recs = convergence_study(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recs[-1].N == 311
+    assert peak <= 2.4 * 8 * 311 ** 2, peak / (8 * 311 ** 2)
