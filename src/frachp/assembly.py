@@ -73,17 +73,18 @@ to the mirror elements, and the upper entries r + c > N - 1 are copied
 from (N-1-c, N-1-r) when the work array is mirrored, so A comes out
 exactly persymmetric.  Any other map builds every block.
 
-assemble(dofmap, s, quad_offset=6) runs in two stages.  _plan(dofmap,
-quad_offset) does the work that depends on the mesh alone: the checks, the
-mirror decision, and per pair class the kept pairs with their points,
+A pair takes max(p_i, p_j) + quad_offset Gauss points per direction and
+an element p + quad_offset, quad_offset defaulting to _QUAD_OFFSET, the one
+rule of the studies.  assemble(dofmap, s) runs in two stages.
+_plan(dofmap) does the work that depends on the mesh alone: the checks,
+the mirror decision, and per pair class the kept pairs with their points,
 h-products, endpoint distances and dof rows.  _pass(plan, s, load) does the
 rest at one s: the reference blocks, the kernel powers, the products, the
 scatters and the final mirror, and puts the caller's load beside A, both
 marked read-only.  A study of several s on one dof map builds the plan
-and the load once.
-assemble_load(f, dofmap, quad_offset=6) and both stages read the element
-bounds, lengths, degrees and dof rows from the element table of the dof
-map, which also carries the mesh.
+and the load once.  assemble_load(f, dofmap) and both stages read the
+element bounds, lengths, degrees and dof rows from the element table of
+the dof map, which also carries the mesh.
 """
 
 from __future__ import annotations
@@ -127,6 +128,9 @@ def kernel_constant(s):
     log_c = 2.0 * s * math.log(2.0) + math.lgamma(s + 0.5) + math.lgamma(1.0 + s)
     sine = math.sin(math.pi * min(s, 1.0 - s))
     return math.exp(log_c) * sine / math.pi ** 1.5
+
+
+_QUAD_OFFSET = 6
 
 
 def _check_offset(quad_offset):
@@ -509,7 +513,7 @@ class _Plan:
     elements: list
 
 
-def _plan(dofmap, quad_offset):
+def _plan(dofmap, quad_offset=_QUAD_OFFSET):
     """The mesh-only stage of assemble: the checks, the mirror decision, and
     per pair class the kept pairs with their points, h-products, distance
     bases and dof rows.  The dof table must ascend left to right
@@ -546,7 +550,7 @@ def _pass(plan, s, load):
     return GalerkinSystem(stiffness=A, load=load, s=s)
 
 
-def assemble(dofmap, s, quad_offset=6):
+def assemble(dofmap, s, quad_offset=_QUAD_OFFSET):
     """Assemble the stiffness matrix of the weak form (stiffness only).
 
     The per-direction point count for each element pair is
@@ -557,7 +561,7 @@ def assemble(dofmap, s, quad_offset=6):
     return _pass(_plan(dofmap, quad_offset), s, np.zeros(dofmap.n_dofs))
 
 
-def assemble_load(f, dofmap, quad_offset=6):
+def assemble_load(f, dofmap, quad_offset=_QUAD_OFFSET):
     """Load vector b_k = int_Omega f phi_k, per-element Gauss-Legendre.
 
     f is called once per degree on a 1-D array of points.

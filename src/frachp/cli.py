@@ -72,8 +72,6 @@ def _parser():
         if solver:
             p.add_argument("--rule", choices=("uniform", "reduced"),
                            default="uniform", help="degree rule (p = L)")
-            p.add_argument("--quad-offset", type=_nonneg, default=6,
-                           help="quadrature points per direction = p + offset")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     common(command("convergence", _cmd_convergence,
@@ -124,9 +122,8 @@ def _fields(r):
 
 
 def _cmd_convergence(args):
-    records = postproc.convergence_study(
-        args.s, args.sigma, args.levels, args.rule,
-        quad_offset=args.quad_offset)
+    records = postproc.convergence_study(args.s, args.sigma, args.levels,
+                                         args.rule)
     _write_csv(CONVERGENCE_HEADER, [
         _fields(r) + (2.0 * args.sigma ** (r.L / 2.0) / r.L,
                       0.22 * args.sigma ** (r.L / 2.0)) for r in records],
@@ -138,9 +135,8 @@ def _cmd_solve(args):
     if len(args.s) != 1:
         args.error(f"argument --s: solve takes one fractional order, "
                    f"got {len(args.s)}")
-    record, system = postproc.solve_record(
-        args.s[0], args.sigma, args.levels, args.rule,
-        quad_offset=args.quad_offset)
+    record, system = postproc.solve_record(args.s[0], args.sigma,
+                                           args.levels, args.rule)
     _write_csv(_RECORD_HEADER, [_fields(record)], args.out)
     if args.dump_matrix is not None:
         np.savetxt(args.dump_matrix + "_A.csv", system.stiffness,

@@ -108,13 +108,12 @@ class ConvergenceRecord:
     wall_seconds: float
 
 
-def _level(sigma, L, rule, quad_offset):
+def _level(sigma, L, rule):
     """The set-up of one level, shared by every s: its dof map, the f = 1
     load, which the first stiffness pass marks read-only, and the assembly
     plan."""
     dofmap = build_dof_map(build_geometric_mesh((-1.0, 1.0), sigma, L), rule)
-    load = assemble_load(np.ones_like, dofmap, quad_offset=quad_offset)
-    return dofmap, load, _plan(dofmap, quad_offset)
+    return dofmap, assemble_load(np.ones_like, dofmap), _plan(dofmap)
 
 
 def _solve(plan, load, s):
@@ -123,13 +122,13 @@ def _solve(plan, load, s):
     return system, cholesky_solve(system)
 
 
-def solve_problem(s, sigma, L, rule, quad_offset=6):
+def solve_problem(s, sigma, L, rule):
     """Assemble and solve the f = 1 benchmark on (-1, 1).
 
     Returns (mesh, dofmap, system, solution); the system's stiffness and
     load are read-only.
     """
-    dofmap, load, plan = _level(sigma, L, rule, quad_offset)
+    dofmap, load, plan = _level(sigma, L, rule)
     return (dofmap.mesh, dofmap) + _solve(plan, load, s)
 
 
@@ -143,7 +142,7 @@ def _naming(s, L):
         raise RuntimeError(f"solve failed at s={s}, L={L}: {exc}") from exc
 
 
-def _sweep(s_list, sigma, levels, rule_kind, quad_offset):
+def _sweep(s_list, sigma, levels, rule_kind):
     """The timed study loop that solve_record and convergence_study share.
 
     Checks every s first.  For each L of levels it sets the level up once
@@ -160,7 +159,7 @@ def _sweep(s_list, sigma, levels, rule_kind, quad_offset):
         rule = DegreeRule(rule_kind, L)
         start = time.perf_counter()
         with _naming(s_list[0], L):
-            _, load, plan = _level(sigma, L, rule, quad_offset)
+            _, load, plan = _level(sigma, L, rule)
         setup = time.perf_counter() - start
         for s, row in zip(s_list, rows):
             system = sol = None  # free this matrix before the next is built
@@ -175,17 +174,17 @@ def _sweep(s_list, sigma, levels, rule_kind, quad_offset):
     return rows, system
 
 
-def solve_record(s, sigma, L, rule_kind, quad_offset=6):
+def solve_record(s, sigma, L, rule_kind):
     """One study point: solve with p = L and time the solve.
 
     Returns (record, system).  A failure of the solve, an EnergyGapError
     included, is raised as a RuntimeError naming (s, L).
     """
-    rows, system = _sweep([s], sigma, [L], rule_kind, quad_offset)
+    rows, system = _sweep([s], sigma, [L], rule_kind)
     return rows[0][0], system
 
 
-def convergence_study(s_list, sigma, L_max, rule_kind, quad_offset=6):
+def convergence_study(s_list, sigma, L_max, rule_kind):
     """Run the L = 1..L_max sweep with p = L for each fractional order.
 
     rule_kind is 'uniform' (degree L everywhere) or 'reduced' (degree 1 on
@@ -198,6 +197,5 @@ def convergence_study(s_list, sigma, L_max, rule_kind, quad_offset=6):
     """
     if L_max < 1:
         raise ValueError(f"L_max must be >= 1, got {L_max}")
-    rows, _ = _sweep(s_list, sigma, range(1, L_max + 1), rule_kind,
-                     quad_offset)
+    rows, _ = _sweep(s_list, sigma, range(1, L_max + 1), rule_kind)
     return [record for row in rows for record in row]

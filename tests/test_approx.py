@@ -47,6 +47,12 @@ def test_weighted_h1_norm_divergence_detected():
     with pytest.raises(DivergentIntegralError):
         endpoint_interpolation_check(ZEROS, ZEROS, lambda x: x ** -1.5,
                                      0.0, 0.05)
+    # the right-hand weight exponent 2 min(beta' + 1, 3/2 - eps) reaches
+    # -1 at eps = 2 and -2 at eps = 2.5, and is refused before any rule
+    for eps, exponent in ((2.0, -1.0), (2.5, -2.0)):
+        with pytest.raises(DivergentIntegralError,
+                           match=f"weight exponent {exponent} is not"):
+            endpoint_interpolation_check(ZEROS, ZEROS, ZEROS, 0.0, eps)
 
 
 def test_weighted_h1_norm_against_adaptive_oracle():
@@ -255,6 +261,13 @@ def test_interpolation_study_rejects_no_levels():
         with pytest.raises(ValueError, match="L_max"):
             interpolation_error_study(0.5, 0.6, L_max)
     assert len(interpolation_error_study(0.5, 0.6, 1)) == 1
+
+
+def test_interpolant_error_rejects_beta_prime_out_of_range():
+    # the command line checks beta' before calling, so only a library
+    # caller reaches this check: 1 - 0.5 - 0.6 = -0.1
+    with pytest.raises(ValueError, match="beta' = 1 - s - eps_prime"):
+        interpolant_weighted_error(0.5, 0.6, 2, eps_prime=0.6)
 
 
 # References: the element-by-element evaluation and the one-rule-at-a-time

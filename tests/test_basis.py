@@ -167,6 +167,11 @@ def test_vertex_dofs_shared_and_endpoints_constrained():
         np.testing.assert_array_equal(dm.h, dm.hi - dm.lo)
 
 
+def test_degree_rule_rejects_degree_below_one():
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        DegreeRule("uniform", 0)
+
+
 @pytest.mark.parametrize(
     "make", [lambda p: DegreeRule("uniform", p), DegreeRule.uniform,
              DegreeRule.reduced, gauss_lobatto_nodes,
