@@ -16,9 +16,9 @@ slope of the linear interpolant of the boundary element, in closed form.
 Evaluation is batched: the integrand of a weighted integral is called once,
 on one 1-D array holding the nodes of all six rules 32..1024, the
 interpolated function once per degree, and the interior elements share one
-evaluation of the solution, its derivative and the shape tables.  Every
-function passed in is therefore called on 1-D arrays and must act element
-by element.
+evaluation of the solution and of its derivative, on the points of one
+cached Gauss-point shape table of the basis module.  Every function passed
+in is therefore called on 1-D arrays and must act element by element.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .basis import _element_values, _lobatto_nodes01
+from .basis import _element_values, _gauss_shapes, _lobatto_nodes01
 from .geomesh import build_geometric_mesh
 from .postproc import exact_solution, solution_constant
 from .quadrature import _jacobi01, _rule01
@@ -254,13 +254,14 @@ def _interior_error_sq(u, du, lo, h, values, beta_p):
     """h w @ (r^(2 beta_p) e'^2 + r^(2 beta_p - 2) e^2) with r = 1 - |x| on
     the p + 24 Gauss points of each element (lo, lo + h), whose
     interpolant has the nodal values values[k] on the p + 1 Gauss-Lobatto
-    nodes; one evaluation of u, du and each shape table serves the whole
-    batch."""
+    nodes; one evaluation of u and du serves the whole batch, and the
+    interpolant and its derivative both read the cached Gauss-point shape
+    table of basis._gauss_shapes."""
     t, w = _rule01(values.shape[1] + 23)
+    S = _gauss_shapes(values.shape[1] - 1, len(t))[:, None]
     x = lo[:, None] + h[:, None] * t
-    ev = u(x.ravel()).reshape(x.shape) - _element_values(values, h, t[None])
-    ed = du(x.ravel()).reshape(x.shape) - _element_values(values, h, t[None],
-                                                          True)
+    ev = u(x.ravel()).reshape(x.shape) - _element_values(values, h, S)
+    ed = du(x.ravel()).reshape(x.shape) - _element_values(values, h, S, True)
     r = 1.0 - np.abs(x)
     f = r ** (2.0 * beta_p) * ed ** 2 + r ** (2.0 * beta_p - 2.0) * ev ** 2
     return h * (f @ w)

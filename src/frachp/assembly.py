@@ -29,12 +29,13 @@ per pair class:
   beside it;
 * disjoint pairs T_i x T_j, j >= i + 2: on the tensor Gauss-Legendre rule,
   with K = |x_a - z_b|^(-1-2s) and the Gauss weights w folded into the
-  shape tables S, which depend on neither the element nor s and are cached
-  across calls, the cross block is -h_i h_j (S_x w) K (S_z w)^T and the
-  self terms are h_i h_j w K w and h_i h_j w K^T w.  Pairs are batched over
-  the whole mesh per degree pair (p_i, p_j) and point count n, in chunks
-  of a fixed number of kernel entries; each chunk scatters its cross
-  blocks and sums its self terms per element.
+  shape tables S, which depend on neither the element nor s and come from
+  the one cache of basis._gauss_shapes, the cross block is
+  -h_i h_j (S_x w) K (S_z w)^T and the self terms are h_i h_j w K w and
+  h_i h_j w K^T w.  Pairs are batched over the whole mesh per degree pair
+  (p_i, p_j) and point count n, in chunks of a fixed number of kernel
+  entries; each chunk scatters its cross blocks and sums its self terms
+  per element.
 
 Each element's own block is built in one pass per degree: the identical
 pair plus S_n diag(weights) S_n^T for each point count n, the weights being
@@ -96,7 +97,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _diff_matrix, _shape_matrix
+from .basis import _diff_matrix, _gauss_shapes, _shape_matrix
 from .quadrature import (_adjacent_lengths, _adjacent_scheme, _check_s,
                          _disjoint_n, _identical_scheme, _jacobi01, _rule01)
 
@@ -140,18 +141,6 @@ def _check_offset(quad_offset):
     if quad_offset < 0:
         raise ValueError(f"quad_offset must be nonnegative, got {quad_offset}")
     return quad_offset
-
-
-@lru_cache(maxsize=None)
-def _gauss_shapes(p, n):
-    """Degree-p shapes at the n Gauss-Legendre points of an element.
-
-    The table serves every disjoint pair, element block and load batch
-    with these (p, n); it depends on neither the element nor s.
-    """
-    table = _shape_matrix(p, _rule01(n)[0])
-    table.flags.writeable = False
-    return table
 
 
 # kernel entries per disjoint batch: enough to amortise the per-batch numpy

@@ -6,6 +6,9 @@ local basis is nodal (Lagrange cardinal functions on the Gauss-Lobatto
 points), so interpolation at those points is a coefficient read-off.  The
 shapes live on the one reference element (0, 1), where the quadrature
 rules live too: element (lo, hi) of length h holds the point lo + h t.
+The shapes at the Gauss-Legendre points of that element are tabulated
+once per degree and point count, in one read-only cache that the assembly
+and the interpolation study both read.
 
 Global numbering: left to right.  Element e holds the consecutive indices
 off_e - 1, ..., off_e + p_e - 1 with off_e = p_0 + ... + p_{e-1}, its right
@@ -24,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geomesh import GeometricMesh, element_of
+from .quadrature import _rule01
 
 __all__ = [
     "DegreeRule", "DofMap", "gauss_lobatto_nodes", "build_dof_map",
@@ -128,6 +132,20 @@ def _shape_matrix(p, t):
     return vals
 
 
+@lru_cache(maxsize=None)
+def _gauss_shapes(p, n):
+    """Degree-p shapes at the n Gauss-Legendre points of the reference
+    element, read-only.
+
+    The one cached table of these (p, n): it serves every disjoint pair,
+    element block and load batch of the assembly and every interior batch
+    of the interpolation study; it depends on neither the element nor s.
+    """
+    table = _shape_matrix(p, _rule01(n)[0])
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class DegreeRule:
     """Per-element degree assignment.
@@ -205,16 +223,16 @@ def build_dof_map(mesh, rule):
                   lo=mesh.nodes[:-1], hi=mesh.nodes[1:], h=h)
 
 
-def _element_values(values, h, t, derivative=False):
+def _element_values(values, h, table, derivative=False):
     """The polynomial of nodal values values[k] on the Gauss-Lobatto nodes
-    of element k, of length h[k], or its derivative in x, at the reference
-    points t[k, :]; a single row of t serves all elements.  One batched
-    product; shape (len(values), t.shape[1])."""
-    p = values.shape[1] - 1
+    of element k, of length h[k], or its derivative in x, at reference
+    points whose shape values the caller tabulates: table[:, k, :] holds
+    the p + 1 shapes at the points of element k, and a table with a single
+    middle row, such as _gauss_shapes(p, n)[:, None], serves all elements.
+    One batched product; shape (len(values), table.shape[2])."""
     if derivative:
         # the nodal values of the derivative, of degree p - 1: exact
-        values = values @ _diff_matrix(p).T / h[:, None]
-    table = _shape_matrix(p, t.ravel()).reshape(p + 1, *t.shape)
+        values = values @ _diff_matrix(values.shape[1] - 1).T / h[:, None]
     return (values[:, None, :] @ table.swapaxes(0, 1))[:, 0]
 
 
@@ -234,9 +252,9 @@ def _eval(dofmap, coeffs, x, derivative):
     for p in sorted(set(degrees.tolist())):
         at = degrees == p
         e = es[at]
-        t = (xs[at] - dofmap.lo[e]) / dofmap.h[e]
+        S = _shape_matrix(p, (xs[at] - dofmap.lo[e]) / dofmap.h[e])
         out[at] = _element_values(coeffs[dofmap.table[e, :p + 1]],
-                                  dofmap.h[e], t[:, None], derivative)[:, 0]
+                                  dofmap.h[e], S[..., None], derivative)[:, 0]
     return out.reshape(x.shape)[()]
 
 

@@ -11,7 +11,7 @@ from frachp import (DegreeRule, DivergentIntegralError,
                     build_hp_interpolant, eval_fem_function,
                     exact_solution, endpoint_interpolation_check,
                     weighted_derivative_norms)
-from frachp import approx
+from frachp import approx, assembly, basis
 from frachp.approx import (DerivativeRecurrence, _stabilized_integral,
                            interpolant_weighted_error,
                            interpolation_error_study)
@@ -470,3 +470,20 @@ def test_hp_interpolant_one_call_per_degree(kind):
         # shared vertices take the value the element loop gave them
         np.testing.assert_array_equal(
             coeffs, reference_hp_interpolant(exact_solution(0.3), dm))
+
+
+def test_interpolation_study_reuses_the_cached_gauss_shapes(monkeypatch):
+    # the interior batches read the one cached Gauss-point table of basis,
+    # the table the assembly reads too, so a warm study tabulates no shapes
+    assert assembly._gauss_shapes is basis._gauss_shapes
+    interpolation_error_study(0.5, 0.6, 4)  # warm the caches
+    calls = []
+    shape_matrix = basis._shape_matrix
+
+    def counted(p, t):
+        calls.append(p)
+        return shape_matrix(p, t)
+
+    monkeypatch.setattr(basis, "_shape_matrix", counted)
+    interpolation_error_study(0.5, 0.6, 4)
+    assert calls == []
