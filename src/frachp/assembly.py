@@ -93,20 +93,26 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .basis import _diff_matrix, _gauss_shapes, _shape_matrix
-from .quadrature import (_adjacent_lengths, _adjacent_scheme, _check_s,
-                         _disjoint_n, _identical_scheme, _jacobi01, _rule01)
+from .quadrature import (_adjacent_lengths, _adjacent_scheme, _cached,
+                         _check_s, _disjoint_n, _identical_scheme, _jacobi01,
+                         _rule01)
 
 __all__ = ["GalerkinSystem", "kernel_constant", "assemble", "assemble_load"]
 
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Dense symmetric stiffness matrix and load vector; immutable once built."""
+    """Dense symmetric stiffness matrix and load vector; immutable once built.
+
+    assemble, assemble_load and postproc.solve_problem hand out read-only
+    arrays, so a system built from them is read-only too, the one built by
+    hand as dataclasses.replace(system, load=assemble_load(f, dofmap))
+    included.
+    """
 
     stiffness: np.ndarray
     load: np.ndarray
@@ -161,13 +167,10 @@ def _scatter(A, flat, values):
     np.add.at(A.reshape(-1), flat.ravel(), values.ravel())
 
 
-@lru_cache(maxsize=None)
+@_cached()
 def _triu(n, k=0):
     """np.triu_indices(n, k) as read-only arrays, kept across calls."""
-    rows, cols = np.triu_indices(n, k)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+    return np.triu_indices(n, k)
 
 
 def _scatter_upper(A, g, blocks):
@@ -551,7 +554,8 @@ def assemble(dofmap, s, quad_offset=_QUAD_OFFSET):
 
 
 def assemble_load(f, dofmap, quad_offset=_QUAD_OFFSET):
-    """Load vector b_k = int_Omega f phi_k, per-element Gauss-Legendre.
+    """Load vector b_k = int_Omega f phi_k, per-element Gauss-Legendre,
+    read-only.
 
     f is called once per degree on a 1-D array of points.
     """
@@ -570,4 +574,5 @@ def assemble_load(f, dofmap, quad_offset=_QUAD_OFFSET):
                              f"element {es[bad][0] + 1}")
         local = (w * dofmap.h[es, None] * fx) @ _gauss_shapes(p, n).T
         np.add.at(b, dofmap.table[es, :p + 1], local)
+    b.flags.writeable = False
     return b[:-1]

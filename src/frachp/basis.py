@@ -7,8 +7,10 @@ points), so interpolation at those points is a coefficient read-off.  The
 shapes live on the one reference element (0, 1), where the quadrature
 rules live too: element (lo, hi) of length h holds the point lo + h t.
 The shapes at the Gauss-Legendre points of that element are tabulated
-once per degree and point count, in one read-only cache that the assembly
-and the interpolation study both read.
+once per degree and point count, and the assembly and the interpolation
+study both read that table.  It and the Gauss-Lobatto nodes, barycentric
+weights and derivative matrices of each degree are kept by the one cache
+of quadrature._cached, which hands every table out read-only.
 
 Global numbering: left to right.  Element e holds the consecutive indices
 off_e - 1, ..., off_e + p_e - 1 with off_e = p_0 + ... + p_{e-1}, its right
@@ -22,12 +24,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .geomesh import GeometricMesh, element_of
-from .quadrature import _rule01
+from .quadrature import _cached, _rule01
 
 __all__ = [
     "DegreeRule", "DofMap", "gauss_lobatto_nodes", "build_dof_map",
@@ -44,70 +45,60 @@ def _legendre_pair(n, x):
     return p, p_prev
 
 
-@lru_cache(maxsize=None)
-def _lobatto_nodes(p):
+# typed: a hit on 3 must not let 3.0 past operator.index
+@_cached(typed=True)
+def gauss_lobatto_nodes(p):
+    """The p+1 Gauss-Lobatto points of degree p: -1, roots of P_p', 1."""
+    p = operator.index(p)
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")
     if p == 1:
-        nodes = np.array([-1.0, 1.0])
-    else:
-        # interior nodes: roots of P_p', Newton from Chebyshev-Lobatto guesses
-        x = -np.cos(np.pi * np.arange(1, p) / p)
-        for _ in range(100):
-            pn, pn1 = _legendre_pair(p, x)
-            dp = p * (x * pn - pn1) / (x * x - 1.0)
-            d2p = (2.0 * x * dp - p * (p + 1) * pn) / (1.0 - x * x)
-            step = dp / d2p
-            x -= step
-            if np.max(np.abs(step)) < 1e-15:
-                break
-        x = 0.5 * (x - x[::-1])  # exact symmetry about 0
-        nodes = np.concatenate(([-1.0], x, [1.0]))
-    nodes.flags.writeable = False
-    return nodes
+        return np.array([-1.0, 1.0])
+    # interior nodes: roots of P_p', Newton from Chebyshev-Lobatto guesses
+    x = -np.cos(np.pi * np.arange(1, p) / p)
+    for _ in range(100):
+        pn, pn1 = _legendre_pair(p, x)
+        dp = p * (x * pn - pn1) / (x * x - 1.0)
+        d2p = (2.0 * x * dp - p * (p + 1) * pn) / (1.0 - x * x)
+        step = dp / d2p
+        x -= step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    x = 0.5 * (x - x[::-1])  # exact symmetry about 0
+    return np.concatenate(([-1.0], x, [1.0]))
 
 
-def gauss_lobatto_nodes(p):
-    """The p+1 Gauss-Lobatto points of degree p: -1, roots of P_p', 1."""
-    return _lobatto_nodes(operator.index(p))
-
-
-@lru_cache(maxsize=None)
+@_cached()
 def _bary_weights(p):
-    t = _lobatto_nodes(p)
+    t = gauss_lobatto_nodes(p)
     diff = t[:, None] - t[None, :]
     np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(diff, axis=1)
-    w.flags.writeable = False
-    return w
+    return 1.0 / np.prod(diff, axis=1)
 
 
-@lru_cache(maxsize=None)
+@_cached()
 def _lobatto_nodes01(p):
     """The Gauss-Lobatto nodes on the reference element (0, 1), (1 + t) / 2,
     each as the unevaluated sum hi + lo of two doubles; lo is the rounding
     error of 1 + t, exact as |t| <= 1."""
-    t = _lobatto_nodes(p)
+    t = gauss_lobatto_nodes(p)
     hi = 1.0 + t
     lo = t - (hi - 1.0)
     hi *= 0.5
     lo *= 0.5
-    hi.flags.writeable = False
-    lo.flags.writeable = False
     return hi, lo
 
 
-@lru_cache(maxsize=None)
+@_cached()
 def _diff_matrix(p):
     """D[i, j] = l_j'(t_i), the derivative on (0, 1), at the nodes t_i."""
-    t = _lobatto_nodes(p)
+    t = gauss_lobatto_nodes(p)
     w = _bary_weights(p)
     diff = 0.5 * (t[:, None] - t[None, :])  # node distances on (0, 1)
     np.fill_diagonal(diff, 1.0)
     D = (w[None, :] / w[:, None]) / diff
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
-    D.flags.writeable = False
     return D
 
 
@@ -132,7 +123,7 @@ def _shape_matrix(p, t):
     return vals
 
 
-@lru_cache(maxsize=None)
+@_cached()
 def _gauss_shapes(p, n):
     """Degree-p shapes at the n Gauss-Legendre points of the reference
     element, read-only.
@@ -141,9 +132,7 @@ def _gauss_shapes(p, n):
     element block and load batch of the assembly and every interior batch
     of the interpolation study; it depends on neither the element nor s.
     """
-    table = _shape_matrix(p, _rule01(n)[0])
-    table.flags.writeable = False
-    return table
+    return _shape_matrix(p, _rule01(n)[0])
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,7 @@ class ConvergenceRecord:
 
 def _level(sigma, L, rule):
     """The set-up of one level, shared by every s: its dof map, the f = 1
-    load, which the first stiffness pass marks read-only, and the assembly
-    plan."""
+    load and the assembly plan."""
     dofmap = build_dof_map(build_geometric_mesh((-1.0, 1.0), sigma, L), rule)
     return dofmap, assemble_load(np.ones_like, dofmap), _plan(dofmap)
 

@@ -28,27 +28,45 @@ coordinates and the disjoint points are Gauss-Legendre points of each
 element, so the points seen by an element's shape functions never depend on
 the element lengths; only the weights do.  The assembly tabulates shape
 functions on these schemes once per pair class and degree.
+
+Every shared table, the rules here, the Gauss-Lobatto and shape tables of
+basis and the triangle indices of assembly, is kept by the one cache of
+_cached, which hands it out read-only.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 __all__ = []
 
 
-@lru_cache(maxsize=None)
+def _cached(maxsize=None, typed=False):
+    """functools.lru_cache(maxsize, typed) for a function that returns an
+    array or a tuple of arrays, which are marked read-only once, on the miss
+    that computes them: every caller shares them.  A hit returns them as
+    lru_cache alone would."""
+
+    def decorate(function):
+        def table(*args, **kwargs):
+            arrays = function(*args, **kwargs)
+            for array in arrays if isinstance(arrays, tuple) else (arrays,):
+                array.flags.writeable = False
+            return arrays
+
+        return lru_cache(maxsize, typed)(wraps(function)(table))
+
+    return decorate
+
+
+@_cached()
 def _rule01(n):
     """Gauss-Legendre nodes/weights mapped to (0, 1)."""
     x, w = np.polynomial.legendre.leggauss(int(n))
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    t.flags.writeable = False
-    wt.flags.writeable = False
-    return t, wt
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # Up to this many points the rule comes from the eigenvectors of the Jacobi
@@ -59,7 +77,7 @@ _EIGH_MAX = 64
 _JACOBI_CACHE = 128  # the paper's studies use 78 distinct rules
 
 
-@lru_cache(maxsize=_JACOBI_CACHE)
+@_cached(maxsize=_JACOBI_CACHE)
 def _jacobi01(n, exp0, exp1):
     """Rule on (0, 1) with the weight t^exp0 (1-t)^exp1 absorbed.
 
@@ -77,12 +95,8 @@ def _jacobi01(n, exp0, exp1):
         raise ValueError(
             f"weight exponents must exceed -1, got {exp0} and {exp1}")
     if n <= _EIGH_MAX:
-        t, wt = _golub_welsch(n, exp0, exp1)
-    else:
-        t, wt = _jacobi_newton(n, exp0, exp1)
-    t.flags.writeable = False
-    wt.flags.writeable = False
-    return t, wt
+        return _golub_welsch(n, exp0, exp1)
+    return _jacobi_newton(n, exp0, exp1)
 
 
 def _jacobi_matrix(n, alpha, beta):

@@ -721,12 +721,15 @@ def test_galerkin_system_is_frozen():
 
 
 def test_assembled_system_is_read_only():
-    # the stiffness and load of either entry point refuse writes, so no
-    # caller can change a system that a solve has already checked
+    # the stiffness and load of every entry point, the README's system
+    # built by hand included, refuse writes, so no caller can change a
+    # system that a solve has already checked
     dm = build_dof_map(build_geometric_mesh((-1, 1), 0.6, 2),
                        DegreeRule.uniform(2))
-    systems = (assemble(dm, 0.5), solve_problem(0.5, 0.6, 2,
-                                                 DegreeRule.uniform(2))[2])
+    systems = (assemble(dm, 0.5),
+               solve_problem(0.5, 0.6, 2, DegreeRule.uniform(2))[2],
+               replace(assemble(dm, 0.5),
+                       load=assemble_load(np.ones_like, dm)))
     for system in systems:
         for array in (system.stiffness, system.load):
             with pytest.raises(ValueError, match="read-only"):

@@ -49,6 +49,14 @@ def test_lobatto_rejects_degree_zero():
         gauss_lobatto_nodes(0)
 
 
+def test_lobatto_rejects_a_non_integer_degree():
+    # also once the integer degree is cached: 3.0 == 3 is no cache hit
+    gauss_lobatto_nodes(3)
+    for p in (2.5, 3.0):
+        with pytest.raises(TypeError):
+            gauss_lobatto_nodes(p)
+
+
 def test_legendre_values():
     # the recurrence returns (P_n, P_{n-1}); compare with numpy's series
     xs = np.linspace(-1, 1, 7)

@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import frachp
 import frachp.quadrature as quadrature_mod
 from frachp import convergence_study, interpolation_error_study
 from frachp.quadrature import (_EIGH_MAX, _golub_welsch, _jacobi01,
@@ -150,6 +153,47 @@ def test_jacobi_rule_cache_is_bounded():
         t, w = _jacobi01(4, 1.0 - 2.0 * s, 1.0)
         assert not t.flags.writeable and not w.flags.writeable
     assert _jacobi01.cache_info().currsize <= maxsize
+
+
+# every table cache of the package, with sample arguments
+CACHED_TABLES = {
+    "quadrature._rule01": (5,),
+    "quadrature._jacobi01": (5, -0.4, 1.0),
+    "basis.gauss_lobatto_nodes": (4,),
+    "basis._bary_weights": (4,),
+    "basis._lobatto_nodes01": (4,),
+    "basis._diff_matrix": (4,),
+    "basis._gauss_shapes": (3, 9),
+    "assembly._triu": (6, 2),
+}
+
+
+def package_caches():
+    """Every function of a frachp module that has cache_info, by the module
+    and name it is defined under."""
+    caches = set()
+    for info in pkgutil.iter_modules(frachp.__path__):
+        module = importlib.import_module(f"frachp.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                caches.add(f"{value.__module__}.{value.__qualname__}"
+                           .removeprefix("frachp."))
+    return caches
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_TABLES))
+def test_cached_tables_are_read_only(name):
+    # the tables are shared by every element, pair and s: a write to one
+    # would change every later result; a cache added without a case here
+    # fails the set comparison
+    assert package_caches() == set(CACHED_TABLES)
+    module, function = name.split(".")
+    tables = getattr(importlib.import_module(f"frachp.{module}"),
+                     function)(*CACHED_TABLES[name])
+    for table in tables if isinstance(tables, tuple) else (tables,):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = table.flat[0]
 
 
 def test_paper_working_set_fits_in_the_rule_cache(monkeypatch):
